@@ -22,9 +22,13 @@ double stddev(const std::vector<double>& xs) noexcept {
 }
 
 double percentile(std::vector<double> xs, double p) {
+  std::sort(xs.begin(), xs.end());
+  return percentile_sorted(xs, p);
+}
+
+double percentile_sorted(const std::vector<double>& xs, double p) {
   if (xs.empty()) return 0.0;
   p = std::clamp(p, 0.0, 100.0);
-  std::sort(xs.begin(), xs.end());
   const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
   const auto lo = static_cast<std::size_t>(std::floor(rank));
   const auto hi = static_cast<std::size_t>(std::ceil(rank));

@@ -20,6 +20,10 @@ double stddev(const std::vector<double>& xs) noexcept;
 // Returns 0 for an empty sample. Does not require sorted input.
 double percentile(std::vector<double> xs, double p);
 
+// percentile() over a sample already sorted ascending, so several
+// quantiles of one sample cost one sort.
+double percentile_sorted(const std::vector<double>& sorted, double p);
+
 double min_of(const std::vector<double>& xs) noexcept;
 double max_of(const std::vector<double>& xs) noexcept;
 

@@ -1,6 +1,5 @@
 #include "obs/json.h"
 
-#include <cctype>
 #include <cstdlib>
 
 namespace muri::obs {
@@ -12,13 +11,18 @@ const JsonValue& null_value() {
   return v;
 }
 
+// One recursive-descent grammar for both parse modes. Every production
+// takes a nullable output: null means "grammar-check these bytes but
+// build nothing", which is how the shallow mode skips nested containers
+// without allocating and still rejects exactly what the full mode does.
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  Parser(std::string_view text, bool shallow)
+      : text_(text), shallow_(shallow) {}
 
   bool parse(JsonValue& out, std::string* error) {
     skip_ws();
-    if (!parse_value(out)) {
+    if (!parse_value(&out)) {
       if (error != nullptr) {
         *error = message_ + " at offset " + std::to_string(pos_);
       }
@@ -40,11 +44,14 @@ class Parser {
     return false;
   }
 
+  // The "C"-locale isspace set, without a locale lookup per byte.
+  static bool is_space(char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+           c == '\r';
+  }
+
   void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
   }
 
   bool consume(char c) {
@@ -67,7 +74,19 @@ class Parser {
   // instead of overflowing the stack.
   static constexpr int kMaxDepth = 192;
 
-  bool parse_value(JsonValue& out) {
+  // Where the member value about to be parsed goes: into `object`, or
+  // (null) nowhere. In shallow mode the root object's members build
+  // values only when they are scalars; a nested container is checked and
+  // dropped.
+  JsonValue* member_target(JsonValue* object) const {
+    if (object == nullptr || !shallow_ || depth_ != 1) return object;
+    if (pos_ < text_.size() && (text_[pos_] == '{' || text_[pos_] == '[')) {
+      return nullptr;
+    }
+    return object;
+  }
+
+  bool parse_value(JsonValue* out) {
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
       case '{':
@@ -75,97 +94,112 @@ class Parser {
         return parse_object(out);
       case '[':
         if (depth_ >= kMaxDepth) return fail("nesting too deep");
-        return parse_array(out);
+        // A shallow root array keeps its type but no elements.
+        return parse_array(out, shallow_ && depth_ == 0);
       case '"':
-        out.type = JsonValue::Type::kString;
-        return parse_string(out.string);
+        if (out != nullptr) out->type = JsonValue::Type::kString;
+        return parse_string(out != nullptr ? &out->string : nullptr);
       case 't':
-        out.type = JsonValue::Type::kBool;
-        out.boolean = true;
+        if (out != nullptr) {
+          out->type = JsonValue::Type::kBool;
+          out->boolean = true;
+        }
         return literal("true") || fail("bad literal");
       case 'f':
-        out.type = JsonValue::Type::kBool;
-        out.boolean = false;
+        if (out != nullptr) {
+          out->type = JsonValue::Type::kBool;
+          out->boolean = false;
+        }
         return literal("false") || fail("bad literal");
       case 'n':
-        out.type = JsonValue::Type::kNull;
+        if (out != nullptr) out->type = JsonValue::Type::kNull;
         return literal("null") || fail("bad literal");
       default:
         return parse_number(out);
     }
   }
 
-  bool parse_object(JsonValue& out) {
-    out.type = JsonValue::Type::kObject;
+  bool parse_object(JsonValue* out) {
+    if (out != nullptr) out->type = JsonValue::Type::kObject;
     const DepthGuard guard(this);
     if (!consume('{')) return fail("expected '{'");
     skip_ws();
     if (consume('}')) return true;
+    std::string key;
     while (true) {
       skip_ws();
-      std::string key;
-      if (!parse_string(key)) return false;
+      if (!parse_string(out != nullptr ? &key : nullptr)) return false;
       skip_ws();
       if (!consume(':')) return fail("expected ':'");
       skip_ws();
-      JsonValue value;
-      if (!parse_value(value)) return false;
-      out.object.emplace(std::move(key), std::move(value));
+      if (member_target(out) == nullptr) {
+        if (!parse_value(nullptr)) return false;
+      } else {
+        JsonValue value;
+        if (!parse_value(&value)) return false;
+        out->object.emplace(key, std::move(value));
+      }
       skip_ws();
       if (consume('}')) return true;
       if (!consume(',')) return fail("expected ',' or '}'");
     }
   }
 
-  bool parse_array(JsonValue& out) {
-    out.type = JsonValue::Type::kArray;
+  bool parse_array(JsonValue* out, bool drop_elements) {
+    if (out != nullptr) out->type = JsonValue::Type::kArray;
+    if (drop_elements) out = nullptr;
     const DepthGuard guard(this);
     if (!consume('[')) return fail("expected '['");
     skip_ws();
     if (consume(']')) return true;
     while (true) {
       skip_ws();
-      JsonValue value;
-      if (!parse_value(value)) return false;
-      out.array.push_back(std::move(value));
+      if (out == nullptr) {
+        if (!parse_value(nullptr)) return false;
+      } else {
+        JsonValue value;
+        if (!parse_value(&value)) return false;
+        out->array.push_back(std::move(value));
+      }
       skip_ws();
       if (consume(']')) return true;
       if (!consume(',')) return fail("expected ',' or ']'");
     }
   }
 
-  bool parse_string(std::string& out) {
+  bool parse_string(std::string* out) {
     if (!consume('"')) return fail("expected '\"'");
-    out.clear();
+    if (out != nullptr) out->clear();
     while (pos_ < text_.size()) {
       const char c = text_[pos_++];
       if (c == '"') return true;
       if (c != '\\') {
-        out += c;
+        if (out != nullptr) *out += c;
         continue;
       }
       if (pos_ >= text_.size()) return fail("bad escape");
       const char esc = text_[pos_++];
+      char plain = 0;
       switch (esc) {
         case '"':
         case '\\':
         case '/':
-          out += esc;
+          plain = esc;
           break;
         case 'b':
-          out += '\b';
+          plain = '\b';
           break;
         case 'f':
-          out += '\f';
+          plain = '\f';
           break;
         case 'n':
-          out += '\n';
+          plain = '\n';
           break;
         case 'r':
-          out += '\r';
+          plain = '\r';
           break;
         case 't':
-          out += '\t';
+          plain = '\t';
           break;
         case 'u': {
           if (pos_ + 4 > text_.size()) return fail("bad \\u escape");
@@ -183,42 +217,84 @@ class Parser {
               return fail("bad \\u escape");
             }
           }
+          if (out == nullptr) break;
           // Only BMP escapes are produced by our writers; encode UTF-8.
           if (code < 0x80) {
-            out += static_cast<char>(code);
+            *out += static_cast<char>(code);
           } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
+            *out += static_cast<char>(0xC0 | (code >> 6));
+            *out += static_cast<char>(0x80 | (code & 0x3F));
           } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
+            *out += static_cast<char>(0xE0 | (code >> 12));
+            *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            *out += static_cast<char>(0x80 | (code & 0x3F));
           }
           break;
         }
         default:
           return fail("bad escape");
       }
+      if (plain != 0 && out != nullptr) *out += plain;
     }
     return fail("unterminated string");
   }
 
-  bool parse_number(JsonValue& out) {
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+  static bool is_number_char(char c) {
+    return is_digit(c) || c == '.' || c == 'e' || c == 'E' || c == '+' ||
+           c == '-';
+  }
+
+  std::size_t skip_digits() {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
+    return pos_ - from;
+  }
+
+  // A number token is the longest run of [0-9.eE+-]. It is valid when
+  // strtod would consume all of it:  [+-]? (d+ (. d*)? | . d+)
+  // ([eE] [+-]? d+)?  — matched greedily in one pass, so the grammar
+  // check costs no conversion and no second scan.
+  bool parse_number(JsonValue* out) {
     const std::size_t start = pos_;
-    if (consume('-')) {
+    if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+      ++pos_;
     }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    std::size_t mantissa = skip_digits();
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      mantissa += skip_digits();
+    }
+    bool ok = mantissa > 0;
+    if (ok && pos_ < text_.size() &&
+        (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+        ++pos_;
+      }
+      ok = skip_digits() > 0;
+    }
+    // Number characters past the greedy match extend the token beyond
+    // anything the grammar accepts.
+    while (pos_ < text_.size() && is_number_char(text_[pos_])) {
+      ok = false;
       ++pos_;
     }
     if (pos_ == start) return fail("expected a value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    out.number = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') return fail("bad number");
-    out.type = JsonValue::Type::kNumber;
+    if (!ok) return fail("bad number");
+    if (out != nullptr) {
+      const std::string_view token = text_.substr(start, pos_ - start);
+      // strtod needs a terminated copy; writers emit short tokens.
+      char buf[64];
+      if (token.size() < sizeof(buf)) {
+        token.copy(buf, token.size());
+        buf[token.size()] = '\0';
+        out->number = std::strtod(buf, nullptr);
+      } else {
+        out->number = std::strtod(std::string(token).c_str(), nullptr);
+      }
+      out->type = JsonValue::Type::kNumber;
+    }
     return true;
   }
 
@@ -229,6 +305,7 @@ class Parser {
   };
 
   std::string_view text_;
+  bool shallow_ = false;
   std::size_t pos_ = 0;
   int depth_ = 0;
   std::string message_;
@@ -248,7 +325,12 @@ const JsonValue& JsonValue::at(const std::string& key) const {
 }
 
 bool parse_json(std::string_view text, JsonValue& out, std::string* error) {
-  return Parser(text).parse(out, error);
+  return Parser(text, /*shallow=*/false).parse(out, error);
+}
+
+bool parse_json_shallow(std::string_view text, JsonValue& out,
+                        std::string* error) {
+  return Parser(text, /*shallow=*/true).parse(out, error);
 }
 
 bool validate_chrome_trace(std::string_view text, std::string* error) {

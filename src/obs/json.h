@@ -40,6 +40,14 @@ struct JsonValue {
 bool parse_json(std::string_view text, JsonValue& out,
                 std::string* error = nullptr);
 
+// Shallow mode, for scans that read only a record's top-level fields:
+// grammar-checks every byte exactly as parse_json does (same accepted
+// inputs, same errors), but builds values only for the root object's
+// scalar members. Members holding an object or array are omitted, and a
+// root array keeps its type but no elements.
+bool parse_json_shallow(std::string_view text, JsonValue& out,
+                        std::string* error = nullptr);
+
 // Validates `text` as a Chrome trace_event JSON object: parses, requires
 // a non-empty "traceEvents" array whose entries carry name/ph/pid/tid/ts
 // with the right types ('X' events also need "dur"). On failure returns

@@ -147,6 +147,20 @@ double Summary::percentile(double p) const {
   return muri::percentile(std::move(samples), p);
 }
 
+std::vector<double> Summary::percentiles(
+    std::initializer_list<double> ps) const {
+  std::vector<double> samples;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    samples = samples_;
+  }
+  std::sort(samples.begin(), samples.end());
+  std::vector<double> out;
+  out.reserve(ps.size());
+  for (const double p : ps) out.push_back(muri::percentile_sorted(samples, p));
+  return out;
+}
+
 struct MetricsRegistry::Series {
   std::string name;
   std::string labels;  // serialized

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -106,6 +107,8 @@ class Summary {
   double mean() const;
   // p in [0, 100], matching common/stats.h percentile().
   double percentile(double p) const;
+  // percentile() at each of `ps`, from one sorted copy of the samples.
+  std::vector<double> percentiles(std::initializer_list<double> ps) const;
 
  private:
   mutable std::mutex mu_;

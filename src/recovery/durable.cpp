@@ -38,66 +38,51 @@ std::int64_t env_int64(const char* name) {
 
 DurableSink::DurableSink(std::string path, DurableSinkOptions options)
     : path_(std::move(path)), options_(options) {
+  if (options_.resume || options_.append_resume) {
+    // Resume state comes only from recover_wal_for_resume; starting at
+    // ordinal 0 on an existing file would corrupt it.
+    ok_ = false;
+    error_ = "resuming " + path_ + " needs its recover_wal_for_resume result";
+    return;
+  }
+  attach(RecoverResult{});
+}
+
+DurableSink::DurableSink(std::string path, DurableSinkOptions options,
+                         RecoverResult recovered)
+    : path_(std::move(path)), options_(options) {
+  attach(std::move(recovered));
+}
+
+void DurableSink::attach(RecoverResult recovered) {
   if (options_.honor_crash_env) {
     crash_at_ = env_int64("MURI_CRASH_AT");
     crash_torn_ = env_int64("MURI_CRASH_TORN") != 0;
   }
   if (options_.resume) {
-    WalReadResult decoded;
-    std::string io_error;
-    if (read_wal_file(path_, decoded, &io_error)) {
-      if (decoded.torn && !truncate_wal_file(path_, &error_)) {
-        ok_ = false;
-        return;
-      }
-      for (std::size_t i = 0; i < decoded.frames.size(); ++i) {
-        const WalFrame& frame = decoded.frames[i];
-        if (frame.kind == FrameKind::kSnapshot) {
-          if (i == 0) {
-            // A head snapshot means the file was compacted: it covers
-            // ordinals 1..records, which no longer exist as frames.
-            ReplayState head;
-            if (!state_from_json(frame.payload, head, &error_)) {
-              ok_ = false;
-              return;
-            }
-            head_covered_ = head.records;
-          }
-          continue;  // cadence snapshots carry no new ordinals
-        }
-        expected_.push_back(frame.payload);
-      }
-      const std::int64_t on_disk =
-          head_covered_ + static_cast<std::int64_t>(expected_.size());
-      // A crash can cut the file between a record and the cadence
-      // snapshot due right after it; note the gap so the resumed run
-      // restores the snapshot at the same file position.
-      if (options_.snapshot_every_records > 0 && !decoded.frames.empty() &&
-          decoded.frames.back().kind == FrameKind::kRecord &&
-          on_disk % options_.snapshot_every_records == 0) {
-        missing_snapshot_at_ = on_disk;
-      }
+    // Ordinals a compacted head snapshot covers are skipped; cadence
+    // snapshots carry no new ordinals.
+    head_covered_ = recovered.head_covered;
+    disk_ = std::move(recovered.image);
+    for (const WalImage::Frame& frame : disk_.frames) {
+      if (frame.kind == FrameKind::kRecord) expected_.push_back(frame);
     }
-    // A missing file is a legal resume (nothing was durable yet).
+    // A crash can cut the file between a record and the cadence
+    // snapshot due right after it; note the gap so the resumed run
+    // restores the snapshot at the same file position.
+    const std::int64_t on_disk = recovered.records_on_disk;
+    if (options_.snapshot_every_records > 0 && !disk_.frames.empty() &&
+        disk_.frames.back().kind == FrameKind::kRecord &&
+        on_disk % options_.snapshot_every_records == 0) {
+      missing_snapshot_at_ = on_disk;
+    }
   } else if (options_.append_resume) {
-    WalReadResult decoded;
-    std::string io_error;
-    if (read_wal_file(path_, decoded, &io_error)) {
-      if (decoded.torn && !truncate_wal_file(path_, &error_)) {
-        ok_ = false;
-        return;
-      }
-      RecoverResult recovered;
-      if (!recover_wal(path_, recovered, &error_)) {
-        ok_ = false;
-        return;
-      }
-      // Ordinals continue after the durable prefix; no byte-verification
-      // window, so every new record lands in the append branch.
-      ordinal_ = recovered.records_on_disk;
-      if (options_.snapshot_every_records > 0) fold_ = recovered.state;
+    // Ordinals continue after the durable prefix; no byte-verification
+    // window, so every new record lands in the append branch.
+    ordinal_ = recovered.records_on_disk;
+    if (options_.snapshot_every_records > 0) {
+      fold_ = std::move(recovered.state);
     }
-    // A missing file is a legal first start.
   }
   const int flags = options_.resume || options_.append_resume
                         ? (O_WRONLY | O_CREAT | O_APPEND)
@@ -161,7 +146,7 @@ void DurableSink::on_record(std::string_view line) {
   if (options_.snapshot_every_records > 0) {
     obs::JsonValue rec;
     std::string fold_error;
-    if (!obs::parse_json(line, rec, &fold_error) ||
+    if (!parse_record(line, rec, &fold_error) ||
         !apply_record(fold_, rec, &fold_error)) {
       ok_ = false;
       error_ = "record " + std::to_string(ordinal_) +
@@ -180,8 +165,8 @@ void DurableSink::on_record(std::string_view line) {
     // Already durable: byte-verify the regenerated record against the
     // disk. Divergence means this run is not the one the WAL came from —
     // stop before corrupting it.
-    const std::string& want =
-        expected_[static_cast<std::size_t>(ordinal_ - head_covered_ - 1)];
+    const std::string_view want = disk_.payload(
+        expected_[static_cast<std::size_t>(ordinal_ - head_covered_ - 1)]);
     if (line != want) {
       ok_ = false;
       diverged_ = true;
@@ -233,66 +218,105 @@ void DurableSink::close() {
   fd_ = -1;
 }
 
-bool recover_wal(const std::string& path, RecoverResult& out,
-                 std::string* error) {
+bool recover_wal(WalImage image, RecoverResult& out, std::string* error,
+                 const RecordVisitor& visit) {
   out = RecoverResult{};
-  WalReadResult decoded;
-  if (!read_wal_file(path, decoded, error)) return false;
-  out.torn = decoded.torn;
-  out.torn_reason = decoded.torn_reason;
-  out.valid_bytes = decoded.valid_bytes;
+  out.torn = image.torn;
+  out.torn_reason = image.torn_reason;
+  out.valid_bytes = image.valid_bytes;
 
+  const std::vector<WalImage::Frame>& frames = image.frames;
   std::ptrdiff_t last_snapshot = -1;
-  std::int64_t head_covered = 0;
-  for (std::size_t i = 0; i < decoded.frames.size(); ++i) {
-    if (decoded.frames[i].kind == FrameKind::kSnapshot) {
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    if (frames[i].kind == FrameKind::kSnapshot) {
       last_snapshot = static_cast<std::ptrdiff_t>(i);
       ++out.snapshot_frames;
     }
-  }
-  if (!decoded.frames.empty() &&
-      decoded.frames[0].kind == FrameKind::kSnapshot) {
-    ReplayState head;
-    if (!state_from_json(decoded.frames[0].payload, head, error)) {
-      return false;
-    }
-    head_covered = head.records;
   }
 
   ReplayEngine engine;
   if (last_snapshot >= 0) {
     if (!engine.load_snapshot(
-            decoded.frames[static_cast<std::size_t>(last_snapshot)].payload,
+            image.payload(frames[static_cast<std::size_t>(last_snapshot)]),
             error)) {
       return false;
     }
     out.used_snapshot = true;
   }
+  if (!frames.empty() && frames[0].kind == FrameKind::kSnapshot) {
+    // A head snapshot means the file was compacted: it covers ordinals
+    // 1..records, which no longer exist as frames.
+    ReplayState head;
+    if (!state_from_json(image.payload(frames[0]), head, error)) {
+      return false;
+    }
+    out.head_covered = head.records;
+  }
+
+  // One pass over the record frames: each is parsed once and handed to
+  // the caller's visitor and, past the last snapshot, to the fold.
   std::int64_t record_frames = 0;
-  for (std::size_t i = 0; i < decoded.frames.size(); ++i) {
-    if (decoded.frames[i].kind != FrameKind::kRecord) continue;
+  obs::JsonValue rec;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    if (frames[i].kind != FrameKind::kRecord) continue;
     ++record_frames;
-    if (static_cast<std::ptrdiff_t>(i) < last_snapshot) continue;
-    if (!engine.apply_line(decoded.frames[i].payload, error)) {
+    const bool fold = static_cast<std::ptrdiff_t>(i) > last_snapshot;
+    if (!fold && !visit) continue;
+    rec = obs::JsonValue{};
+    if (!parse_record(image.payload(frames[i]), rec, error) ||
+        (visit && !visit(rec, error)) ||
+        (fold && !apply_record(engine.mutable_state(), rec, error))) {
       if (error != nullptr) {
         *error = "record frame " + std::to_string(i) + ": " + *error;
       }
       return false;
     }
-    ++out.replayed_records;
+    if (fold) ++out.replayed_records;
   }
-  out.state = engine.state();
-  out.records_on_disk = head_covered + record_frames;
+  out.state = std::move(engine.mutable_state());
+  out.records_on_disk = out.head_covered + record_frames;
+  out.image = std::move(image);
+  return true;
+}
+
+bool recover_wal(const std::string& path, RecoverResult& out,
+                 std::string* error) {
+  WalImage image;
+  if (!read_wal_image(path, image, error)) return false;
+  return recover_wal(std::move(image), out, error);
+}
+
+bool recover_wal_for_resume(const std::string& path, RecoverResult& out,
+                            std::string* error, const RecordVisitor& visit) {
+  WalImage image;
+  std::string io_error;
+  bool missing = false;
+  if (!read_wal_image(path, image, &io_error, &missing)) {
+    if (missing) {
+      // Nothing was durable yet: a legal cold start.
+      out = RecoverResult{};
+      return true;
+    }
+    if (error != nullptr) *error = io_error;
+    return false;
+  }
+  // Fold first: a file whose prefix does not recover is left as it was.
+  if (!recover_wal(std::move(image), out, error, visit)) return false;
+  if (out.torn) {
+    if (!truncate_wal_file(path, out.valid_bytes, error)) return false;
+    out.image.bytes.resize(out.valid_bytes);
+  }
   return true;
 }
 
 bool compact_wal(const std::string& path, std::string* error) {
-  WalReadResult decoded;
-  if (!read_wal_file(path, decoded, error)) return false;
+  WalImage image;
+  if (!read_wal_image(path, image, error)) return false;
+  const std::vector<WalImage::Frame>& frames = image.frames;
 
   std::ptrdiff_t last_snapshot = -1;
-  for (std::size_t i = 0; i < decoded.frames.size(); ++i) {
-    if (decoded.frames[i].kind == FrameKind::kSnapshot) {
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    if (frames[i].kind == FrameKind::kSnapshot) {
       last_snapshot = static_cast<std::ptrdiff_t>(i);
     }
   }
@@ -303,12 +327,11 @@ bool compact_wal(const std::string& path, std::string* error) {
     // replayed prefix and the older snapshots it subsumes.
     append_wal_frame(
         bytes, FrameKind::kSnapshot,
-        decoded.frames[static_cast<std::size_t>(last_snapshot)].payload);
+        image.payload(frames[static_cast<std::size_t>(last_snapshot)]));
     for (std::size_t i = static_cast<std::size_t>(last_snapshot) + 1;
-         i < decoded.frames.size(); ++i) {
-      if (decoded.frames[i].kind == FrameKind::kRecord) {
-        append_wal_frame(bytes, FrameKind::kRecord,
-                         decoded.frames[i].payload);
+         i < frames.size(); ++i) {
+      if (frames[i].kind == FrameKind::kRecord) {
+        append_wal_frame(bytes, FrameKind::kRecord, image.payload(frames[i]));
       }
     }
   } else {
@@ -317,9 +340,9 @@ bool compact_wal(const std::string& path, std::string* error) {
     // here — a compacted file starts with a snapshot — but fold from
     // scratch keeps the invariant obvious).
     ReplayEngine engine;
-    for (const WalFrame& frame : decoded.frames) {
+    for (const WalImage::Frame& frame : frames) {
       if (frame.kind != FrameKind::kRecord) continue;
-      if (!engine.apply_line(frame.payload, error)) return false;
+      if (!engine.apply_line(image.payload(frame), error)) return false;
     }
     append_wal_frame(bytes, FrameKind::kSnapshot,
                      state_json(engine.state()));

@@ -18,6 +18,13 @@
 // run resumed this way converges to the byte-identical WAL an
 // uninterrupted run would have written.
 //
+// Every resume decodes the WAL once: recover_wal_for_resume() reads the
+// file, checks each frame's CRC, folds the records (plus an optional
+// caller visitor — the daemon's job table) in one pass, and only then
+// truncates a torn tail in place; the RecoverResult it returns is handed
+// to the resumed sink, which continues the file without reading it
+// again.
+//
 // Crash-point injection for the CI sweeps rides on the same path:
 // MURI_CRASH_AT=N (opt-in via honor_crash_env) calls _Exit at the
 // boundary of record N — after its frame (and any due snapshot) hit the
@@ -74,9 +81,17 @@ struct DurableSinkOptions {
   std::function<void(std::int64_t)> boundary_hook;
 };
 
+struct RecoverResult;
+
 class DurableSink : public obs::DecisionLog::Sink {
  public:
+  // Starts `path` from scratch. Resume modes need the constructor below:
+  // given `resume` or `append_resume`, this one fails (ok() == false).
   DurableSink(std::string path, DurableSinkOptions options = {});
+  // Attaches to the result of recover_wal_for_resume(path) — the caller
+  // already decoded (and truncated) the file, so it is not read again.
+  DurableSink(std::string path, DurableSinkOptions options,
+              RecoverResult recovered);
   ~DurableSink() override;
 
   DurableSink(const DurableSink&) = delete;
@@ -126,6 +141,7 @@ class DurableSink : public obs::DecisionLog::Sink {
   }
 
  private:
+  void attach(RecoverResult recovered);
   void append_frame(FrameKind kind, std::string_view payload);
   void maybe_fsync();
   void crash_now(std::string_view next_payload);
@@ -144,8 +160,9 @@ class DurableSink : public obs::DecisionLog::Sink {
   IoStats io_;
 
   // Resume bookkeeping.
-  std::int64_t head_covered_ = 0;          // ordinals a head snapshot covers
-  std::vector<std::string> expected_;      // on-disk record payloads after it
+  std::int64_t head_covered_ = 0;  // ordinals a head snapshot covers
+  WalImage disk_;                  // the recovered file (resume mode only)
+  std::vector<WalImage::Frame> expected_;  // its record frames, in order
   // Ordinal of a cadence snapshot the old tail lost to truncation (its
   // record survived but the following snapshot frame did not); 0 = none.
   std::int64_t missing_snapshot_at_ = 0;
@@ -165,6 +182,9 @@ struct RecoverResult {
   // Record ordinals present on disk: head-snapshot coverage + record
   // frames. A resumed run re-appends starting at records_on_disk + 1.
   std::int64_t records_on_disk = 0;
+  // Ordinals a compacted head snapshot covers (0 when the file does not
+  // open with a snapshot).
+  std::int64_t head_covered = 0;
   std::int64_t snapshot_frames = 0;
   // Suffix length actually replayed (records after the last snapshot).
   std::int64_t replayed_records = 0;
@@ -172,14 +192,38 @@ struct RecoverResult {
   bool torn = false;
   std::string torn_reason;
   std::size_t valid_bytes = 0;
+  // The decoded file. A resumed DurableSink byte-verifies regenerated
+  // records against it instead of reading the file again.
+  WalImage image;
 };
 
-// Reconstructs state from `path`: loads the last snapshot frame (if any)
-// and folds the record frames after it. Torn tails are reported, not
-// fatal. False with `error` on I/O failure, undecodable snapshots, or
-// records that fail to parse.
+// Extra fold run by recover_wal over every record frame, in file order,
+// including frames a snapshot already summarizes. Records arrive as
+// parse_record (replay.h) builds them: top-level scalars, nested fields
+// only for placement records. False (with `error`) fails recovery.
+using RecordVisitor =
+    std::function<bool(const obs::JsonValue& rec, std::string* error)>;
+
+// The recovery core: loads the last snapshot frame of `image` (if any)
+// and folds the record frames after it, in one pass that also feeds
+// `visit`. Torn tails are reported, not fatal. False with `error` on
+// undecodable snapshots or records that fail to parse or fold.
+bool recover_wal(WalImage image, RecoverResult& out,
+                 std::string* error = nullptr,
+                 const RecordVisitor& visit = {});
+
+// Read-only recovery of `path` (muri-report, benchmarks): one read, then
+// the core above. False with `error` on I/O failure as well.
 bool recover_wal(const std::string& path, RecoverResult& out,
                  std::string* error = nullptr);
+
+// Recovery for a process about to continue `path`: a missing file is an
+// empty result (cold start), and once the valid prefix has folded, a
+// torn tail is truncated in place. A failed recovery leaves the file
+// untouched. Pass the result to the resuming DurableSink.
+bool recover_wal_for_resume(const std::string& path, RecoverResult& out,
+                            std::string* error = nullptr,
+                            const RecordVisitor& visit = {});
 
 // Rewrites `path` as its last snapshot frame followed by the record
 // frames after it, dropping the replayed prefix and earlier snapshots.

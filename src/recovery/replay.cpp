@@ -248,6 +248,16 @@ bool apply_record(ReplayState& state, const JsonValue& rec,
   return true;
 }
 
+bool parse_record(std::string_view line, JsonValue& out, std::string* error) {
+  if (!obs::parse_json_shallow(line, out, error)) return false;
+  const JsonValue& type = out.at("type");
+  if (type.is_string() && type.string == "placement") {
+    out = JsonValue{};
+    return obs::parse_json(line, out, error);
+  }
+  return true;
+}
+
 std::string state_json(const ReplayState& state) {
   std::string out = "{\"type\":\"replay_state\",\"runs\":";
   append_int(out, state.runs);
@@ -449,7 +459,7 @@ bool ReplayEngine::load_snapshot(std::string_view snapshot_json,
 
 bool ReplayEngine::apply_line(std::string_view line, std::string* error) {
   obs::JsonValue rec;
-  if (!obs::parse_json(line, rec, error)) return false;
+  if (!parse_record(line, rec, error)) return false;
   return apply_record(state_, rec, error);
 }
 

@@ -97,6 +97,14 @@ struct ReplayState {
 bool apply_record(ReplayState& state, const obs::JsonValue& rec,
                   std::string* error = nullptr);
 
+// Parses one DecisionLog record line as cheaply as apply_record allows:
+// a shallow parse (top-level scalars), then a full parse only for the
+// record types whose fold reads nested fields ("placement": its
+// jobs/machines arrays). Every byte is grammar-checked either way, so a
+// record with invalid JSON anywhere still fails.
+bool parse_record(std::string_view line, obs::JsonValue& out,
+                  std::string* error = nullptr);
+
 // Byte-stable JSON serialization (single line, '\n'-terminated): the WAL
 // snapshot payload format.
 std::string state_json(const ReplayState& state);

@@ -1,6 +1,6 @@
 #include "recovery/resume.h"
 
-#include <fstream>
+#include <utility>
 
 namespace muri::recovery {
 
@@ -12,27 +12,25 @@ bool resume_simulation(const Trace& trace, Scheduler& scheduler,
 
   // Phase 1: reconstruct state from the durable prefix — what a daemon
   // would serve from while catching up. A missing file is a cold start.
-  const bool have_wal = std::ifstream(options.wal_path).good();
-  if (have_wal) {
-    RecoverResult recovered;
-    if (!recover_wal(options.wal_path, recovered, error)) return false;
-    if (recovered.torn && !truncate_wal_file(options.wal_path, error)) {
-      return false;
-    }
-    report.recovered = recovered.state;
-    report.records_on_disk = recovered.records_on_disk;
-    report.used_snapshot = recovered.used_snapshot;
-    report.suffix_replayed = recovered.replayed_records;
-    report.torn_tail = recovered.torn;
-    report.torn_reason = recovered.torn_reason;
+  // This is the only read of the file: the sink below takes the decoded
+  // image over for byte verification.
+  RecoverResult recovered;
+  if (!recover_wal_for_resume(options.wal_path, recovered, error)) {
+    return false;
   }
+  report.recovered = recovered.state;
+  report.records_on_disk = recovered.records_on_disk;
+  report.used_snapshot = recovered.used_snapshot;
+  report.suffix_replayed = recovered.replayed_records;
+  report.torn_tail = recovered.torn;
+  report.torn_reason = recovered.torn_reason;
 
   // Phase 2: deterministic re-execution with the sink resumed onto the
   // WAL. The durable prefix is byte-verified as it is regenerated; new
   // records append past the old tail.
   DurableSinkOptions sink_options = options.sink;
   sink_options.resume = true;
-  DurableSink sink(options.wal_path, sink_options);
+  DurableSink sink(options.wal_path, sink_options, std::move(recovered));
   if (!sink.ok()) {
     if (error != nullptr) *error = sink.error();
     return false;

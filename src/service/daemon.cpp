@@ -10,7 +10,6 @@
 #include "job/model.h"
 #include "obs/jobtrace.h"
 #include "obs/json.h"
-#include "recovery/wal.h"
 #include "scheduler/baselines.h"
 #include "scheduler/muri.h"
 
@@ -105,6 +104,14 @@ std::string job_status_json(const JobStatus& st) {
   return out;
 }
 
+obs::Summary& round_phase_summary(obs::MetricsRegistry& registry,
+                                  const char* phase) {
+  return registry.summary("muri_daemon_round_phase_seconds",
+                          "Wall seconds per engine round phase (wal is the "
+                          "WAL I/O inside schedule and place)",
+                          {{"phase", phase}});
+}
+
 std::string admitted_json(const QueuedSubmission& s) {
   std::string out = "{\"job\":" + std::to_string(s.id);
   out += ",\"state\":\"admitted\",\"model\":\"";
@@ -149,20 +156,12 @@ struct MuriDaemon::Observer final : EngineObserver {
     if (d.history_ != nullptr) d.history_->append("jct_s", w, jct_s);
   }
 
+  // Held until pump() observes the whole round, so every phase summary
+  // is fed at the same points as the round summary.
   void on_round(Time now, double schedule_s, double place_s) override {
     (void)now;
-    static const std::vector<double> kBounds{1e-5, 1e-4, 1e-3, 1e-2,
-                                             0.1,  1.0,  10.0};
-    d.registry_
-        .histogram("muri_daemon_round_phase_seconds",
-                   "Wall seconds per engine round phase", kBounds,
-                   {{"phase", "schedule"}})
-        .observe(schedule_s);
-    d.registry_
-        .histogram("muri_daemon_round_phase_seconds",
-                   "Wall seconds per engine round phase", kBounds,
-                   {{"phase", "place"}})
-        .observe(place_s);
+    d.round_schedule_s_ = schedule_s;
+    d.round_place_s_ = place_s;
   }
 
   MuriDaemon& d;
@@ -192,26 +191,21 @@ Time MuriDaemon::sim_now() const {
   return wall_to_sim(Clock::now());
 }
 
-bool MuriDaemon::recover(std::string* error) {
-  recovery::WalReadResult decoded;
-  std::string io_error;
-  if (!recovery::read_wal_file(options_.wal_path, decoded, &io_error)) {
-    // Nothing durable yet: a first start under --resume is legal.
-    return true;
-  }
-  for (const recovery::WalFrame& frame : decoded.frames) {
-    if (frame.kind != recovery::FrameKind::kRecord) continue;
-    obs::JsonValue rec;
-    if (!obs::parse_json(frame.payload, rec, error)) return false;
+bool MuriDaemon::recover(recovery::RecoverResult& recovered,
+                         std::string* error) {
+  // The job table is a visitor on the same single pass that folds the
+  // ReplayState: job_submit gives specs, job_restore/job_progress the
+  // checkpointed iterations, finish/job_cancel retire ids.
+  const auto fold_job = [this](const obs::JsonValue& rec, std::string* err) {
     const std::string& type = rec.at("type").string;
     const JobId id = static_cast<JobId>(rec.at("job").number);
     if (type == "job_submit") {
       RecoveredJob& job = recovered_[id];
       ModelKind model;
       if (!parse_model(rec.at("model").string, model)) {
-        if (error != nullptr) {
-          *error = "WAL job_submit for job " + std::to_string(id) +
-                   " has unknown model '" + rec.at("model").string + "'";
+        if (err != nullptr) {
+          *err = "WAL job_submit for job " + std::to_string(id) +
+                 " has unknown model '" + rec.at("model").string + "'";
         }
         return false;
       }
@@ -221,17 +215,20 @@ bool MuriDaemon::recover(std::string* error) {
           static_cast<std::int64_t>(rec.at("iterations").number);
       if (rec.at("name").is_string()) job.spec.name = rec.at("name").string;
       job.submit_time = rec.at("t").number;
+      job.submitted = true;
     } else if (type == "job_restore" || type == "job_progress") {
       recovered_[id].done = rec.at("done").number;
     } else if (type == "finish" || type == "job_cancel") {
       recovered_[id].terminal = true;
     }
+    return true;
+  };
+  if (!recovery::recover_wal_for_resume(options_.wal_path, recovered, error,
+                                        fold_job)) {
+    return false;
   }
-
-  recovery::RecoverResult state;
-  if (!recovery::recover_wal(options_.wal_path, state, error)) return false;
-  sim_base_ = state.state.sim_time;
-  log_.resume_round(state.state.round);
+  sim_base_ = recovered.state.sim_time;
+  log_.resume_round(recovered.state.round);
   for (const auto& [id, job] : recovered_) {
     next_job_id_ = std::max(next_job_id_, id + 1);
     if (!job.spec.name.empty() && !job.terminal) {
@@ -251,8 +248,9 @@ bool MuriDaemon::start(std::string* error) {
     return false;
   }
 
+  recovery::RecoverResult recovered;
   if (options_.resume && !options_.wal_path.empty()) {
-    if (!recover(error)) return false;
+    if (!recover(recovered, error)) return false;
   }
 
   if (!options_.wal_path.empty()) {
@@ -260,8 +258,9 @@ bool MuriDaemon::start(std::string* error) {
     sink_opts.fsync = options_.fsync;
     sink_opts.append_resume = options_.resume;
     sink_opts.honor_crash_env = options_.honor_crash_env;
-    sink_ = std::make_unique<recovery::DurableSink>(options_.wal_path,
-                                                    sink_opts);
+    // On resume the sink continues from the one decode above.
+    sink_ = std::make_unique<recovery::DurableSink>(
+        options_.wal_path, sink_opts, std::move(recovered));
     if (!sink_->ok()) {
       if (error != nullptr) *error = sink_->error();
       return false;
@@ -347,7 +346,8 @@ bool MuriDaemon::start(std::string* error) {
     if (!recovered_.empty()) e.integer("resumed", 1);
   }
   for (const auto& [id, job] : recovered_) {
-    if (job.terminal) continue;
+    // Only a durable job_submit carries a spec to restore from.
+    if (job.terminal || !job.submitted) continue;
     engine_->restore(job.spec, id, job.submit_time, job.done, sim_base_);
     ++recovered_resumed_;
   }
@@ -434,11 +434,13 @@ void MuriDaemon::pump(Time now, bool force_round) {
   if (debounced || fallback) {
     // Round latency as the SLO sees it: the whole run_round call,
     // including the decision records the WAL persists inline. The
-    // schedule/place split lands in muri_daemon_round_phase_seconds via
-    // the engine observer; the WAL split is the sink's I/O delta.
+    // schedule/place split comes from the engine observer; the WAL split
+    // is the sink's I/O delta, which overlaps both.
     const recovery::DurableSink::IoStats io0 =
         sink_ != nullptr ? sink_->io_stats()
                          : recovery::DurableSink::IoStats{};
+    round_schedule_s_ = 0;
+    round_place_s_ = 0;
     const auto t0 = Clock::now();
     engine_->run_round(now);
     const double round_s =
@@ -446,30 +448,30 @@ void MuriDaemon::pump(Time now, bool force_round) {
     last_round_sim_ = now;
     round_pending_ = false;
 
+    const recovery::DurableSink::IoStats io1 =
+        sink_ != nullptr ? sink_->io_stats()
+                         : recovery::DurableSink::IoStats{};
+    // Every phase is a sub-interval of round_s, observed at the same
+    // points: with equal counts the summaries keep the same samples, so
+    // no phase quantile can exceed the round's.
     registry_
         .summary("muri_daemon_round_wall_seconds",
                  "End-to-end wall time of one daemon scheduling round")
         .observe(round_s);
+    round_phase_summary(registry_, "schedule").observe(round_schedule_s_);
+    round_phase_summary(registry_, "place").observe(round_place_s_);
+    round_phase_summary(registry_, "wal")
+        .observe((io1.append_seconds - io0.append_seconds) +
+                 (io1.fsync_seconds - io0.fsync_seconds));
     const double w = wall_now();
     if (slo_ != nullptr) slo_->observe("round_latency_s", w, round_s);
     if (history_ != nullptr) history_->append("round_latency_s", w, round_s);
-    if (sink_ != nullptr) {
-      const recovery::DurableSink::IoStats io1 = sink_->io_stats();
-      static const std::vector<double> kBounds{1e-5, 1e-4, 1e-3, 1e-2,
-                                               0.1,  1.0,  10.0};
-      registry_
-          .histogram("muri_daemon_round_phase_seconds",
-                     "Wall seconds per engine round phase", kBounds,
-                     {{"phase", "wal"}})
-          .observe((io1.append_seconds - io0.append_seconds) +
-                   (io1.fsync_seconds - io0.fsync_seconds));
-      if (io1.fsyncs > io0.fsyncs) {
-        if (slo_ != nullptr) {
-          slo_->observe("wal_fsync_s", w, io1.last_fsync_seconds);
-        }
-        if (history_ != nullptr) {
-          history_->append("wal_fsync_s", w, io1.last_fsync_seconds);
-        }
+    if (io1.fsyncs > io0.fsyncs) {
+      if (slo_ != nullptr) {
+        slo_->observe("wal_fsync_s", w, io1.last_fsync_seconds);
+      }
+      if (history_ != nullptr) {
+        history_->append("wal_fsync_s", w, io1.last_fsync_seconds);
       }
     }
   }
@@ -725,11 +727,12 @@ void MuriDaemon::handle_stats(obs::HttpResponse& resp) {
   // view lives at /metrics/history).
   const auto summary_block = [&](const char* metric, const char* help) {
     obs::Summary& s = registry_.summary(metric, help);
+    const std::vector<double> q = s.percentiles({50, 90, 99});
     std::string out = "{\"count\":" + std::to_string(s.count());
     out += ",\"mean\":" + fmt_num(s.mean());
-    out += ",\"p50\":" + fmt_num(s.percentile(50));
-    out += ",\"p90\":" + fmt_num(s.percentile(90));
-    out += ",\"p99\":" + fmt_num(s.percentile(99));
+    out += ",\"p50\":" + fmt_num(q[0]);
+    out += ",\"p90\":" + fmt_num(q[1]);
+    out += ",\"p99\":" + fmt_num(q[2]);
     out += "}";
     return out;
   };
@@ -767,24 +770,20 @@ void MuriDaemon::handle_stats(obs::HttpResponse& resp) {
          summary_block("muri_daemon_round_wall_seconds",
                        "End-to-end wall time of one daemon scheduling "
                        "round");
-  // Round-phase histograms (observer + pump): sum/count per phase.
+  // Round phases, from summaries fed with round_s (see pump()): schedule
+  // and place split the round; wal is the WAL I/O inside them.
   out += ",\"round_phases\":{";
   {
-    static const std::vector<double> kBounds{1e-5, 1e-4, 1e-3, 1e-2,
-                                             0.1,  1.0,  10.0};
     bool first = true;
     for (const char* phase : {"schedule", "place", "wal"}) {
-      obs::Histogram& hg = registry_.histogram(
-          "muri_daemon_round_phase_seconds",
-          "Wall seconds per engine round phase", kBounds,
-          {{"phase", phase}});
+      obs::Summary& ps = round_phase_summary(registry_, phase);
       if (!first) out += ',';
       first = false;
       out += "\"";
       out += phase;
-      out += "\":{\"count\":" + std::to_string(hg.count());
-      out += ",\"sum_s\":" + fmt_num(hg.sum());
-      out += ",\"p99\":" + fmt_num(hg.quantile(0.99));
+      out += "\":{\"count\":" + std::to_string(ps.count());
+      out += ",\"sum_s\":" + fmt_num(ps.sum());
+      out += ",\"p99\":" + fmt_num(ps.percentile(99));
       out += "}";
     }
   }

@@ -23,15 +23,21 @@
 // the daemon deterministically through step().
 //
 // Restart story: with a WAL configured, every decision record is durable
-// (DurableSink, append_resume mode). On --resume the daemon replays the
-// WAL to rebuild the job table (job_submit/job_restore give specs,
-// job_progress the checkpointed iterations, finish/job_cancel retire
-// ids), continues the simulated clock from the recovered state, resumes
-// round numbering, and re-admits unfinished jobs via engine.restore() —
-// an accepted job survives any crash that happens after its job_submit
-// record hit the WAL. Graceful stop() closes that window: it stops
-// admitting (503), drains the queue into the engine, checkpoints
-// progress, writes daemon_stop, and fsyncs.
+// (DurableSink, append_resume mode). On --resume the daemon decodes the
+// WAL exactly once (recovery::recover_wal_for_resume): one read, one CRC
+// scan, and one pass over the records, each parsed shallowly (top-level
+// scalars only; full JSON only for placement records) yet grammar-checked
+// in full. That pass folds the ReplayState (simulated clock, round
+// numbering, ordinals on disk) and, as a visitor, the job table
+// (job_submit gives specs, job_restore/job_progress the checkpointed
+// iterations, finish/job_cancel retire ids); only after it succeeds is a
+// torn tail truncated in place, so a failed resume leaves the file as it
+// was. The result is handed to the DurableSink, which appends without
+// reading the file again, and unfinished jobs with a durable job_submit
+// are re-admitted via engine.restore() — an accepted job survives any
+// crash that happens after its job_submit record hit the WAL. Graceful
+// stop() closes that window: it stops admitting (503), drains the queue
+// into the engine, checkpoints progress, writes daemon_stop, and fsyncs.
 #pragma once
 
 #include <atomic>
@@ -192,7 +198,9 @@ class MuriDaemon {
     std::string reason;       // "" when ok
   };
 
-  bool recover(std::string* error);
+  // Single-pass WAL recovery: rebuilds the job table, clock and round
+  // counter, and leaves the decoded WAL in `recovered` for the sink.
+  bool recover(recovery::RecoverResult& recovered, std::string* error);
   bool handle(const obs::HttpRequest& req, obs::HttpResponse& resp);
   void handle_submit(const obs::HttpRequest& req, obs::HttpResponse& resp);
   void handle_job_get(JobId id, bool explain, obs::HttpResponse& resp);
@@ -249,6 +257,9 @@ class MuriDaemon {
 
   // Round triggering (engine_mu_).
   Time last_round_sim_ = 0;
+  // Phase split of the round in flight, set by the observer's on_round.
+  double round_schedule_s_ = 0;
+  double round_place_s_ = 0;
   bool round_pending_ = false;
   std::chrono::steady_clock::time_point round_due_{};
 
@@ -261,6 +272,7 @@ class MuriDaemon {
     JobSpec spec;
     Time submit_time = 0;
     double done = 0;
+    bool submitted = false;  // its job_submit was seen
     bool terminal = false;
   };
   std::map<JobId, RecoveredJob> recovered_;

@@ -192,6 +192,14 @@ TEST(Metrics, SummaryTracksExactQuantiles) {
   EXPECT_DOUBLE_EQ(s.mean(), 50.5);
   EXPECT_NEAR(s.percentile(50), 50.5, 1.0);
   EXPECT_NEAR(s.percentile(99), 99, 1.5);
+
+  // percentiles() sorts one copy and gives percentile()'s exact values.
+  obs::Summary& r = reg.summary("r", "help");
+  for (int i = 100; i >= 1; --i) r.observe((i * 37) % 101 * 0.5);
+  EXPECT_EQ(r.percentiles({0, 50, 90, 99, 100}),
+            (std::vector<double>{r.percentile(0), r.percentile(50),
+                                 r.percentile(90), r.percentile(99),
+                                 r.percentile(100)}));
 }
 
 TEST(Metrics, ConcurrentIncrementsFromThreadPool) {

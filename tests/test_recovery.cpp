@@ -32,8 +32,7 @@ using recovery::FrameKind;
 using recovery::RecoverResult;
 using recovery::ReplayEngine;
 using recovery::ReplayState;
-using recovery::WalFrame;
-using recovery::WalReadResult;
+using recovery::WalImage;
 
 std::string temp_path(const std::string& name) {
   return testing::TempDir() + "muri_recovery_" + name;
@@ -61,6 +60,43 @@ TEST(Wal, Crc32MatchesTheIeeeReference) {
   EXPECT_EQ(recovery::crc32_ieee("", 0), 0u);
 }
 
+// The textbook one-table-lookup-per-byte CRC-32, as the reference the
+// sliced implementation must match.
+std::uint32_t bytewise_crc32(const unsigned char* p, std::size_t size,
+                             std::uint32_t seed = 0) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Wal, SlicedCrc32MatchesBytewiseAtEveryLengthAndAlignment) {
+  std::vector<unsigned char> buf(4096 + 8);
+  std::uint32_t x = 0x9E3779B9u;
+  for (unsigned char& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* p = buf.data() + offset;
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      ASSERT_EQ(recovery::crc32_ieee(p, len), bytewise_crc32(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  // Chaining through `seed` equals one pass over the concatenation.
+  const std::uint32_t head = recovery::crc32_ieee(buf.data(), 1000);
+  EXPECT_EQ(recovery::crc32_ieee(buf.data() + 1000, 3001, head),
+            recovery::crc32_ieee(buf.data(), 4001));
+}
+
 TEST(Wal, FramesRoundTrip) {
   std::string bytes;
   recovery::append_wal_frame(bytes, FrameKind::kRecord, "{\"a\":1}");
@@ -68,15 +104,15 @@ TEST(Wal, FramesRoundTrip) {
   recovery::append_wal_frame(bytes, FrameKind::kRecord, "");
   EXPECT_TRUE(recovery::looks_like_wal(bytes));
 
-  const WalReadResult decoded = recovery::decode_wal(bytes);
+  const WalImage decoded = recovery::scan_wal(bytes);
   EXPECT_FALSE(decoded.torn);
   EXPECT_EQ(decoded.valid_bytes, bytes.size());
   ASSERT_EQ(decoded.frames.size(), 3u);
   EXPECT_EQ(decoded.frames[0].kind, FrameKind::kRecord);
-  EXPECT_EQ(decoded.frames[0].payload, "{\"a\":1}");
+  EXPECT_EQ(decoded.payload(decoded.frames[0]), "{\"a\":1}");
   EXPECT_EQ(decoded.frames[1].kind, FrameKind::kSnapshot);
-  EXPECT_EQ(decoded.frames[1].payload, "{\"s\":2}");
-  EXPECT_EQ(decoded.frames[2].payload, "");
+  EXPECT_EQ(decoded.payload(decoded.frames[1]), "{\"s\":2}");
+  EXPECT_EQ(decoded.payload(decoded.frames[2]), "");
 }
 
 TEST(Wal, TornTailStopsTheScanWithoutLosingThePrefix) {
@@ -88,7 +124,7 @@ TEST(Wal, TornTailStopsTheScanWithoutLosingThePrefix) {
 
   // Cut the second frame mid-payload: the classic crashed-append shape.
   const std::string torn = full.substr(0, full.size() - 3);
-  WalReadResult decoded = recovery::decode_wal(torn);
+  WalImage decoded = recovery::scan_wal(torn);
   EXPECT_TRUE(decoded.torn);
   EXPECT_EQ(decoded.valid_bytes, clean_size);
   ASSERT_EQ(decoded.frames.size(), 1u);
@@ -99,18 +135,20 @@ TEST(Wal, TornTailStopsTheScanWithoutLosingThePrefix) {
   // A flipped payload byte fails the checksum, same containment.
   std::string corrupt = full;
   corrupt[full.size() - 2] ^= 0x40;
-  decoded = recovery::decode_wal(corrupt);
+  decoded = recovery::scan_wal(corrupt);
   EXPECT_TRUE(decoded.torn);
   EXPECT_NE(decoded.torn_reason.find("checksum"), std::string::npos);
   EXPECT_EQ(decoded.frames.size(), 1u);
 
-  // truncate_wal_file rewrites the valid prefix in place.
+  // truncate_wal_file cuts the file back to the valid prefix in place.
   const std::string path = temp_path("torn.wal");
   spit(path, torn);
   std::string error;
-  ASSERT_TRUE(recovery::truncate_wal_file(path, &error)) << error;
+  ASSERT_TRUE(recovery::truncate_wal_file(
+      path, recovery::scan_wal(torn).valid_bytes, &error))
+      << error;
   EXPECT_EQ(slurp(path), bytes);
-  decoded = recovery::decode_wal(slurp(path));
+  decoded = recovery::scan_wal(slurp(path));
   EXPECT_FALSE(decoded.torn);
 }
 
@@ -249,14 +287,14 @@ TEST(DurableSink, PersistsRecordsInCommitOrder) {
   std::string jsonl;
   durable_run(recovery_trace(1), 1, path, 0, nullptr, &jsonl);
 
-  WalReadResult decoded;
+  WalImage decoded;
   std::string error;
-  ASSERT_TRUE(recovery::read_wal_file(path, decoded, &error)) << error;
+  ASSERT_TRUE(recovery::read_wal_image(path, decoded, &error)) << error;
   EXPECT_FALSE(decoded.torn);
   std::string replayed;
-  for (const WalFrame& frame : decoded.frames) {
+  for (const WalImage::Frame& frame : decoded.frames) {
     ASSERT_EQ(frame.kind, FrameKind::kRecord);
-    replayed += frame.payload;
+    replayed += decoded.payload(frame);
     replayed += '\n';
   }
   // The WAL is the in-memory log, byte for byte.
@@ -285,11 +323,45 @@ TEST(DurableSink, StopAfterRecordsLeavesABoundedPrefix) {
   sink.close();
   EXPECT_EQ(log.records(), 3);  // the in-memory log is unaffected
 
-  WalReadResult decoded;
-  ASSERT_TRUE(recovery::read_wal_file(path, decoded, nullptr));
+  WalImage decoded;
+  ASSERT_TRUE(recovery::read_wal_image(path, decoded, nullptr));
   ASSERT_EQ(decoded.frames.size(), 2u);
-  EXPECT_EQ(decoded.frames[1].payload.find("never_written"),
+  EXPECT_EQ(decoded.payload(decoded.frames[1]).find("never_written"),
             std::string::npos);
+}
+
+TEST(DurableSink, PathOnlyConstructorRefusesResumeModes) {
+  // Resume state comes only from recover_wal_for_resume; a sink that
+  // silently started at ordinal 0 would corrupt the existing file.
+  const std::string path = temp_path("sink_refuse.wal");
+  std::string bytes;
+  recovery::append_wal_frame(bytes, FrameKind::kRecord, "{\"a\":1}");
+  spit(path, bytes);
+  for (const bool append : {false, true}) {
+    DurableSinkOptions options;
+    options.resume = !append;
+    options.append_resume = append;
+    DurableSink sink(path, options);
+    EXPECT_FALSE(sink.ok());
+    EXPECT_FALSE(sink.error().empty());
+  }
+  EXPECT_EQ(slurp(path), bytes);
+}
+
+TEST(Recovery, FailedResumeRecoveryLeavesATornFileUntouched) {
+  // A CRC-valid record that is not JSON, then a torn tail: recovery
+  // fails on the prefix, so the tail must not have been cut.
+  const std::string path = temp_path("torn_unfoldable.wal");
+  std::string bytes;
+  recovery::append_wal_frame(bytes, FrameKind::kRecord, "not json");
+  recovery::append_wal_frame(bytes, FrameKind::kRecord, "{\"b\":2}");
+  bytes.resize(bytes.size() - 3);
+  spit(path, bytes);
+  RecoverResult recovered;
+  std::string error;
+  EXPECT_FALSE(recovery::recover_wal_for_resume(path, recovered, &error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(slurp(path), bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -405,8 +477,8 @@ TEST(Recovery, CompactionPreservesRecoveredStateAndShrinksTheFile) {
   EXPECT_LT(slurp(path).size(), size_before);
 
   // A compacted file opens with its snapshot.
-  WalReadResult decoded;
-  ASSERT_TRUE(recovery::read_wal_file(path, decoded, nullptr));
+  WalImage decoded;
+  ASSERT_TRUE(recovery::read_wal_image(path, decoded, nullptr));
   ASSERT_FALSE(decoded.frames.empty());
   EXPECT_EQ(decoded.frames[0].kind, FrameKind::kSnapshot);
 
@@ -482,14 +554,14 @@ TEST(Recovery, ResumeAfterCompactionSkipsTheCoveredPrefix) {
   // surviving prefix before resuming.
   const std::string path = temp_path("compact_resume.wal");
   {
-    WalReadResult decoded;
+    WalImage decoded;
     ASSERT_TRUE(
-        recovery::read_wal_file(temp_path("compact_ref.wal"), decoded,
-                                nullptr));
+        recovery::read_wal_image(temp_path("compact_ref.wal"), decoded,
+                                 nullptr));
     std::string prefix;
     for (std::size_t i = 0; i < decoded.frames.size() / 2; ++i) {
       recovery::append_wal_frame(prefix, decoded.frames[i].kind,
-                                 decoded.frames[i].payload);
+                                 decoded.payload(decoded.frames[i]));
     }
     spit(path, prefix);
   }
@@ -540,7 +612,7 @@ TEST(Recovery, KillAtEveryRecordBoundarySweepConverges) {
           durable_run(trace, threads, clean_path, /*snapshot_every=*/13,
                       &clean_plans);
       const std::string clean_bytes = slurp(clean_path);
-      WalReadResult decoded = recovery::decode_wal(clean_bytes);
+      const WalImage decoded = recovery::scan_wal(clean_bytes);
       ASSERT_FALSE(decoded.torn);
       ASSERT_GT(decoded.frames.size(), 50u);
 
@@ -553,12 +625,13 @@ TEST(Recovery, KillAtEveryRecordBoundarySweepConverges) {
         std::string prefix;
         for (std::size_t i = 0; i < boundary; ++i) {
           recovery::append_wal_frame(prefix, decoded.frames[i].kind,
-                                     decoded.frames[i].payload);
+                                     decoded.payload(decoded.frames[i]));
         }
         if (boundary % 3 == 0 && boundary < decoded.frames.size()) {
           std::string next;
-          recovery::append_wal_frame(next, decoded.frames[boundary].kind,
-                                     decoded.frames[boundary].payload);
+          recovery::append_wal_frame(
+              next, decoded.frames[boundary].kind,
+              decoded.payload(decoded.frames[boundary]));
           prefix += next.substr(0, next.size() / 2);
         }
         spit(path, prefix);

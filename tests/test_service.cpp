@@ -18,6 +18,7 @@
 #include "obs/json.h"
 #include "obs/jobs_report.h"
 #include "obs/provenance.h"
+#include "recovery/wal.h"
 #include "service/daemon.h"
 #include "service/http_client.h"
 
@@ -402,6 +403,105 @@ TEST(ServiceDaemon, ResumesFromACrashImageOfALiveWal) {
   daemon.stop();
 }
 
+TEST(ServiceDaemon, ResumesFromATornTailOfALiveWal) {
+  // A crash mid-append: the live WAL image is cut inside the job_submit
+  // frame of the last job. Resume must bring back every job whose
+  // job_submit is whole, cut the file back to the last whole frame, and
+  // append the new session's records after it.
+  const std::string wal = temp_path("torn_live.wal");
+  const std::string image = temp_path("torn_image.wal");
+  std::remove(wal.c_str());
+  std::vector<JobId> durable;
+  JobId torn_job = kInvalidJob;
+  {
+    DaemonOptions options = manual_options();
+    options.wal_path = wal;
+    options.fsync = recovery::DurableSinkOptions::Fsync::kEveryRecord;
+    MuriDaemon daemon(std::move(options));
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    durable.push_back(submit(daemon, "resnet18", 1, 100000, "torn-a"));
+    durable.push_back(submit(daemon, "vgg19", 2, 100000, "torn-b"));
+    durable.push_back(submit(daemon, "bert", 1, 100000));
+    daemon.step(0);
+    daemon.step(600);
+    torn_job = submit(daemon, "gpt2", 1, 100000, "torn-last");
+    daemon.step(0);
+    spit(image, slurp(wal));
+    daemon.stop();
+  }
+
+  // Cut the image halfway through torn_job's job_submit frame.
+  std::string bytes = slurp(image);
+  const recovery::WalImage scanned = recovery::scan_wal(bytes);
+  ASSERT_FALSE(scanned.torn);
+  std::size_t cut_frame = scanned.frames.size();
+  for (std::size_t i = 0; i < scanned.frames.size(); ++i) {
+    const auto rec = parse(std::string(scanned.payload(scanned.frames[i])));
+    if (rec.at("type").string == "job_submit" &&
+        static_cast<JobId>(rec.at("job").number) == torn_job) {
+      cut_frame = i;
+      break;
+    }
+  }
+  ASSERT_LT(cut_frame, scanned.frames.size());
+  const std::size_t frame_start =
+      scanned.frames[cut_frame].offset - recovery::kWalHeaderSize;
+  const std::size_t cut =
+      scanned.frames[cut_frame].offset + scanned.frames[cut_frame].size / 2;
+  bytes.resize(cut);
+  spit(image, bytes);
+
+  DaemonOptions options = manual_options();
+  options.wal_path = image;
+  options.resume = true;
+  {
+    MuriDaemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    // The file was cut back to the last whole frame before anything new
+    // was appended: the durable prefix is followed directly by this
+    // session's daemon_start.
+    const std::string resumed = slurp(image);
+    EXPECT_EQ(resumed.substr(0, frame_start), bytes.substr(0, frame_start));
+    const recovery::WalImage now = recovery::scan_wal(resumed);
+    EXPECT_FALSE(now.torn) << now.torn_reason;
+    ASSERT_GT(now.frames.size(), cut_frame);
+    EXPECT_EQ(parse(std::string(now.payload(now.frames[cut_frame])))
+                  .at("type")
+                  .string,
+              "daemon_start");
+    for (const JobId id : durable) {
+      EXPECT_EQ(get(daemon, "/jobs/" + std::to_string(id)).status, 200)
+          << "job " << id << " lost to the torn tail";
+    }
+    // The torn job never became durable, and its name is free again.
+    EXPECT_EQ(get(daemon, "/jobs/" + std::to_string(torn_job)).status, 404);
+    const JobId fresh = submit(daemon, "resnet18", 1, 400, "torn-last");
+    EXPECT_EQ(state_of(daemon, fresh), "admitted");
+    daemon.step(0);
+    EXPECT_EQ(run_to_completion(daemon, fresh), "finished");
+    daemon.stop();
+  }
+
+  // The resumed session appended after the cut: the file keeps the
+  // durable prefix byte for byte, decodes clean, and its records (both
+  // sessions) pass the schema validator.
+  const std::string after = slurp(image);
+  ASSERT_GT(after.size(), frame_start);
+  EXPECT_EQ(after.substr(0, frame_start), bytes.substr(0, frame_start));
+  const recovery::WalImage decoded = recovery::scan_wal(after);
+  EXPECT_FALSE(decoded.torn) << decoded.torn_reason;
+  std::string jsonl;
+  for (const recovery::WalImage::Frame& frame : decoded.frames) {
+    jsonl += decoded.payload(frame);
+    jsonl += '\n';
+  }
+  std::string validate_error;
+  EXPECT_TRUE(obs::validate_decision_log(jsonl, &validate_error))
+      << validate_error;
+}
+
 TEST(ServiceDaemon, UnknownSchedulerFailsToStart) {
   DaemonOptions options = manual_options();
   options.scheduler = "nosuch";
@@ -557,6 +657,49 @@ TEST(ServiceDaemon, StatsServesTheDashboardDocument) {
   EXPECT_FALSE(json.at("slo").at("enabled").boolean);
   EXPECT_TRUE(json.at("history").at("enabled").boolean);
   EXPECT_GT(json.at("history").at("samples").number, 0);
+  daemon.stop();
+}
+
+TEST(ServiceDaemon, RoundPhaseQuantilesStayWithinTheRound) {
+  // Phase summaries are fed at the same points as round_s, so over a
+  // multi-round run no phase p99 can exceed the round p99, and the
+  // phases never add up to more than the rounds they split.
+  const std::string wal = temp_path("phases.wal");
+  std::remove(wal.c_str());
+  DaemonOptions options = manual_options();
+  options.wal_path = wal;
+  options.fsync = recovery::DurableSinkOptions::Fsync::kEveryRecord;
+  MuriDaemon daemon(std::move(options));
+  std::string error;
+  ASSERT_TRUE(daemon.start(&error)) << error;
+  std::vector<JobId> ids;
+  const char* models[] = {"resnet18", "vgg19", "bert", "gpt2"};
+  for (int i = 0; i < 12; ++i) {
+    ids.push_back(submit(daemon, models[i % 4], 1 + i % 2, 300 + 100 * i));
+    daemon.step(120);
+  }
+  for (const JobId id : ids) {
+    ASSERT_EQ(run_to_completion(daemon, id, 120), "finished");
+  }
+
+  const auto json = parse(get(daemon, "/stats").body);
+  const auto& round = json.at("round_s");
+  const auto& phases = json.at("round_phases");
+  ASSERT_GT(round.at("count").number, 10);
+  // round_s reports mean and count; their product is its sum.
+  const double round_sum = round.at("mean").number * round.at("count").number;
+  for (const char* phase : {"schedule", "place", "wal"}) {
+    SCOPED_TRACE(phase);
+    const auto& p = phases.at(phase);
+    EXPECT_EQ(p.at("count").number, round.at("count").number);
+    EXPECT_LE(p.at("p99").number, round.at("p99").number);
+    EXPECT_LE(p.at("sum_s").number, round_sum * (1 + 1e-12));
+  }
+  EXPECT_GT(phases.at("wal").at("sum_s").number, 0);
+  // schedule and place are disjoint slices of the round.
+  EXPECT_LE(phases.at("schedule").at("sum_s").number +
+                phases.at("place").at("sum_s").number,
+            round_sum * (1 + 1e-12));
   daemon.stop();
 }
 

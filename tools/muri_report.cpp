@@ -307,6 +307,24 @@ bool read_file(const std::string& path, std::string& out) {
 }
 
 // Prints `output` to --out or stdout; false on I/O failure.
+// Replaces a WAL's bytes in `text` with its record payloads joined as
+// JSONL (snapshots carry folded state, not job events); a torn tail
+// warns on stderr and keeps the valid prefix.
+void wal_to_jsonl(const std::string& path, std::string& text) {
+  const muri::recovery::WalImage image =
+      muri::recovery::scan_wal(std::move(text));
+  if (image.torn) {
+    std::cerr << "muri-report: " << path << ": warning: torn tail ignored ("
+              << image.torn_reason << ")\n";
+  }
+  text.clear();
+  for (const muri::recovery::WalImage::Frame& frame : image.frames) {
+    if (frame.kind != muri::recovery::FrameKind::kRecord) continue;
+    text += image.payload(frame);
+    text += '\n';
+  }
+}
+
 bool emit_output(const Options& opts, const std::string& output) {
   if (!opts.out_path.empty()) {
     std::ofstream out(opts.out_path, std::ios::binary);
@@ -372,7 +390,8 @@ int run_replay(const Options& opts) {
   std::string error;
   if (muri::recovery::looks_like_wal(text)) {
     muri::recovery::RecoverResult recovered;
-    if (!muri::recovery::recover_wal(path, recovered, &error)) {
+    if (!muri::recovery::recover_wal(muri::recovery::scan_wal(std::move(text)),
+                                     recovered, &error)) {
       std::cerr << "muri-report: " << path << ": " << error << '\n';
       return 1;
     }
@@ -425,25 +444,7 @@ int read_decision_stream(const std::string& path,
     std::cerr << "muri-report: cannot read " << path << '\n';
     return 1;
   }
-  if (muri::recovery::looks_like_wal(text)) {
-    muri::recovery::WalReadResult decoded;
-    std::string error;
-    if (!muri::recovery::read_wal_file(path, decoded, &error)) {
-      std::cerr << "muri-report: " << path << ": " << error << '\n';
-      return 1;
-    }
-    if (decoded.torn) {
-      std::cerr << "muri-report: " << path
-                << ": warning: torn tail ignored (" << decoded.torn_reason
-                << ")\n";
-    }
-    text.clear();
-    for (const muri::recovery::WalFrame& frame : decoded.frames) {
-      if (frame.kind != muri::recovery::FrameKind::kRecord) continue;
-      text += frame.payload;
-      text += '\n';
-    }
-  }
+  if (muri::recovery::looks_like_wal(text)) wal_to_jsonl(path, text);
   std::string error;
   std::string tail_warning;
   if (!muri::obs::parse_decision_log(text, records, &error, &tail_warning)) {
@@ -660,25 +661,7 @@ int run_slo(const Options& opts) {
       return run_slo_history(opts, root);
     }
   }
-  if (muri::recovery::looks_like_wal(text)) {
-    muri::recovery::WalReadResult decoded;
-    std::string error;
-    if (!muri::recovery::read_wal_file(path, decoded, &error)) {
-      std::cerr << "muri-report: " << path << ": " << error << '\n';
-      return 1;
-    }
-    if (decoded.torn) {
-      std::cerr << "muri-report: " << path
-                << ": warning: torn tail ignored (" << decoded.torn_reason
-                << ")\n";
-    }
-    text.clear();
-    for (const muri::recovery::WalFrame& frame : decoded.frames) {
-      if (frame.kind != muri::recovery::FrameKind::kRecord) continue;
-      text += frame.payload;
-      text += '\n';
-    }
-  }
+  if (muri::recovery::looks_like_wal(text)) wal_to_jsonl(path, text);
   std::string error;
   std::string tail_warning;
   std::vector<muri::obs::DecisionRecord> records;
