@@ -12,24 +12,33 @@ namespace {
 constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
 }  // namespace
 
-BlossomMatcher::BlossomMatcher(int n)
-    : n_(n),
-      n_x_(n),
-      stride_(2 * n + 1),
-      edges_(static_cast<size_t>(stride_) * stride_),
-      lab_(static_cast<size_t>(stride_), 0),
-      match_(static_cast<size_t>(stride_), 0),
-      slack_(static_cast<size_t>(stride_), 0),
-      st_(static_cast<size_t>(stride_), 0),
-      pa_(static_cast<size_t>(stride_), 0),
-      s_(static_cast<size_t>(stride_), -1),
-      vis_(static_cast<size_t>(stride_), 0),
-      flower_from_storage_(static_cast<size_t>(stride_) * (n + 1), 0),
-      flower_(static_cast<size_t>(stride_)) {
-  for (int u = 0; u < stride_; ++u) {
-    for (int v = 0; v < stride_; ++v) {
-      g_(u, v) = Edge{u, v, 0};
-    }
+BlossomMatcher::BlossomMatcher(int n) { reset(n); }
+
+void BlossomMatcher::reset(int n) {
+  n_ = n;
+  n_x_ = n;
+  stride_ = 2 * n + 1;
+  const auto stride = static_cast<size_t>(stride_);
+  // Storage only grows; a smaller n reuses the front of each buffer.
+  if (edges_.size() < stride * stride) edges_.resize(stride * stride);
+  if (flower_from_storage_.size() < stride * static_cast<size_t>(n + 1)) {
+    flower_from_storage_.resize(stride * static_cast<size_t>(n + 1));
+  }
+  if (flower_.size() < stride) flower_.resize(stride);
+  lab_.assign(stride, 0);
+  match_.assign(stride, 0);
+  slack_.assign(stride, 0);
+  st_.assign(stride, 0);
+  pa_.assign(stride, 0);
+  s_.assign(stride, -1);
+  vis_.assign(stride, 0);
+  lca_stamp_ = 0;
+  // Only the real-node block is filled here. A blossom slot's row and
+  // column are written in full by add_blossom when the slot is first
+  // used, and solve() fills flower_from_ for real nodes, so every cell
+  // read afterwards holds what a newly constructed matcher would hold.
+  for (int u = 0; u <= n; ++u) {
+    for (int v = 0; v <= n; ++v) g_(u, v) = Edge{u, v, 0};
   }
 }
 
@@ -125,7 +134,8 @@ int BlossomMatcher::get_lca(int u, int v) {
 void BlossomMatcher::add_blossom(int u, int lca, int v) {
   int b = n_ + 1;
   while (b <= n_x_ && st_[static_cast<size_t>(b)] != 0) ++b;
-  if (b > n_x_) ++n_x_;
+  const bool first_use = b > n_x_;
+  if (first_use) ++n_x_;
   assert(b < stride_);
 
   lab_[static_cast<size_t>(b)] = 0;
@@ -150,9 +160,18 @@ void BlossomMatcher::add_blossom(int u, int lca, int v) {
     push_queue(y);
   }
   set_state(b, b);
+  // The loop below compares edge_delta of cells whose w is 0, which reads
+  // their endpoints. So a slot's first use in this solve writes whole
+  // cells, as a newly built matcher holds them: endpoints left by an
+  // earlier, larger instance could index past lab_.
   for (int x = 1; x <= n_x_; ++x) {
-    g_(b, x).w = 0;
-    g_(x, b).w = 0;
+    if (first_use) {
+      g_(b, x) = Edge{b, x, 0};
+      g_(x, b) = Edge{x, b, 0};
+    } else {
+      g_(b, x).w = 0;
+      g_(x, b).w = 0;
+    }
   }
   for (int x = 1; x <= n_; ++x) flower_from_(b, x) = 0;
   for (int xs : fl) {
@@ -338,7 +357,10 @@ Matching max_weight_matching(const DenseGraph& graph) {
   result.mate.assign(static_cast<size_t>(n), -1);
   if (n < 2) return result;
 
-  detail::BlossomMatcher matcher(n);
+  // One matcher per thread, reset per call: its O(n²) storage is
+  // allocated once at the largest n seen instead of on every call.
+  thread_local detail::BlossomMatcher matcher(0);
+  matcher.reset(n);
   for (int u = 0; u < n; ++u) {
     for (int v = u + 1; v < n; ++v) {
       const double w = graph.weight(u, v);

@@ -10,6 +10,11 @@
 // Weights are accepted as doubles and quantized to 64-bit integers
 // (kWeightScale steps) so the dual-variable arithmetic stays exact; the
 // returned matching weight is recomputed from the original doubles.
+//
+// max_weight_matching keeps one BlossomMatcher per thread and resets it
+// for each call, so the (2n+1)² edge table is allocated once at the
+// largest n the thread has seen rather than on every call. A reset
+// matcher computes exactly what a newly constructed one does.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +47,10 @@ namespace detail {
 class BlossomMatcher {
  public:
   explicit BlossomMatcher(int n);
+
+  // Clears all state for a new n-node instance, keeping the allocated
+  // storage. Fills only the (n+1)² real-node block of the edge table.
+  void reset(int n);
 
   // Sets the (symmetric) integer weight of edge (u, v); u, v 0-indexed.
   // Weights must be non-negative; 0 means no edge.

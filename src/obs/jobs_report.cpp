@@ -10,12 +10,6 @@ namespace muri::obs {
 
 namespace {
 
-std::string g17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 std::string f3(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.3f", v);

@@ -1,5 +1,6 @@
 #include "obs/json.h"
 
+#include <charconv>
 #include <cstdlib>
 
 namespace muri::obs {
@@ -367,6 +368,31 @@ bool validate_chrome_trace(std::string_view text, std::string* error) {
     }
   }
   return true;
+}
+
+void append_json_double(std::string& out, double v) {
+  if (v > -1e15 && v < 1e15) {
+    const auto i = static_cast<long long>(v);
+    if (static_cast<double>(i) == v) {
+      char buf[24];
+      out.append(buf, std::to_chars(buf, buf + sizeof(buf), i).ptr);
+      return;
+    }
+  }
+  append_g17(out, v);
+}
+
+void append_g17(std::string& out, double v) {
+  char buf[32];  // "%.17g" needs at most 24: -d.dddddddddddddddde-308
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                std::chars_format::general, 17)
+                      .ptr);
+}
+
+std::string g17(double v) {
+  std::string out;
+  append_g17(out, v);
+  return out;
 }
 
 }  // namespace muri::obs

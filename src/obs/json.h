@@ -54,4 +54,16 @@ bool parse_json_shallow(std::string_view text, JsonValue& out,
 // false with a diagnostic in `error`.
 bool validate_chrome_trace(std::string_view text, std::string* error = nullptr);
 
+// Number writers shared by the obs exporters. Non-integral values print
+// exactly as printf's "%.17g" would — exact for IEEE doubles and
+// deterministic for a given value, which byte-stability leans on — but
+// through std::to_chars, which skips printf's format parsing and locale.
+//
+// append_json_double: integral values in (-1e15, 1e15) print plain, with
+// no exponent (so -0.0 prints "0"); everything else as %.17g.
+void append_json_double(std::string& out, double v);
+// append_g17 / g17: plain %.17g for every value (-0.0 prints "-0").
+void append_g17(std::string& out, double v);
+std::string g17(double v);
+
 }  // namespace muri::obs

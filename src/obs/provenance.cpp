@@ -38,20 +38,6 @@ void append_escaped(std::string& out, std::string_view s) {
 
 }  // namespace
 
-void append_json_double(std::string& out, double v) {
-  char buf[40];
-  // Same contract as the trace exporter: integers plain (readable, no
-  // exponent), everything else %.17g — exact for IEEE doubles and
-  // deterministic for a given value, which byte-stability leans on.
-  if (v == static_cast<double>(static_cast<long long>(v)) && v > -1e15 &&
-      v < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  out += buf;
-}
-
 DecisionLog::Entry::~Entry() {
   if (log_ == nullptr) return;
   line_ += '}';

@@ -80,11 +80,6 @@
 
 namespace muri::obs {
 
-// Appends `v` to `out` in the byte-stable JSON number format shared by
-// the obs exporters: integers plain, everything else shortest
-// round-trippable %.17g.
-void append_json_double(std::string& out, double v);
-
 class DecisionLog {
  public:
   // One record under construction. Obtained from DecisionLog::entry();

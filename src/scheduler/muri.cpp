@@ -8,7 +8,6 @@
 #include <map>
 #include <numeric>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/threadpool.h"
@@ -33,33 +32,6 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// γ-memoization across the log₂k rounds, keyed by the sorted member-index
-// set of the union an edge would create. Within one round every union set
-// is distinct (nodes partition the members), so a key can only repeat
-// across rounds — exactly the case of two super-nodes that both survived
-// a matching unmatched and whose pair edge would otherwise be recomputed
-// from scratch. Because a node's member list never changes once formed,
-// a cached γ is bit-identical to what re-evaluation would produce.
-struct MemberSetHash {
-  size_t operator()(const std::vector<int>& v) const noexcept {
-    size_t h = 0x9e3779b97f4a7c15ull ^ v.size();
-    for (int x : v) {
-      h ^= static_cast<size_t>(x) + 0x9e3779b97f4a7c15ull + (h << 6) +
-           (h >> 2);
-    }
-    return h;
-  }
-};
-using GammaCache = std::unordered_map<std::vector<int>, double, MemberSetHash>;
-
-void union_key(const GroupNode& a, const GroupNode& b, std::vector<int>& key) {
-  key.clear();
-  key.reserve(a.members.size() + b.members.size());
-  key.insert(key.end(), a.members.begin(), a.members.end());
-  key.insert(key.end(), b.members.begin(), b.members.end());
-  std::sort(key.begin(), key.end());
-}
-
 // Folds one round's GroupingStats into the registry. Counters are bumped
 // once per schedule() call in call order, the same fold order
 // cumulative_stats_ uses, so the registry reproduces those doubles
@@ -77,7 +49,7 @@ void export_round_metrics(obs::MetricsRegistry& m, const GroupingStats& round,
             "Wall seconds inside Blossom matching")
       .inc(round.matching_seconds);
   m.counter("muri_sched_gamma_cache_hits_total",
-            "Gamma evaluations avoided by the memoization cache")
+            "Gamma evaluations skipped by a memo (none is kept: always 0)")
       .inc(static_cast<double>(round.cache_hits));
   m.counter("muri_sched_gamma_cache_misses_total",
             "Gamma evaluations performed")
@@ -161,7 +133,6 @@ std::vector<std::vector<int>> multi_round_grouping(
     return singletons;
   }
 
-  GammaCache gamma_cache;
   const int rounds = static_cast<int>(
       std::ceil(std::log2(static_cast<double>(max_group_size))));
   for (int round = 0; round < rounds; ++round) {
@@ -174,56 +145,52 @@ std::vector<std::vector<int>> multi_round_grouping(
     // merge would create (a super-node "is" its member set, so
     // interleaving two super-nodes means interleaving all their members).
     //
+    // Every admissible pair is evaluated afresh in every round; no γ is
+    // carried across rounds. The only pairs that meet again are two nodes
+    // that both survived the previous matching unmatched, and their γ is
+    // always 0: Blossom is an exact maximum-weight matching and every
+    // γ > 0 becomes an integer weight ≥ 1, so it never leaves both ends
+    // of a positive edge unmatched.
+    //
     // Each row u owns graph cells (u, v) for v > u and set_weight writes
     // only those two mirrored slots, so rows are data-race free and the
-    // assembled graph is bit-identical for any thread count. The γ-cache
-    // is read-only during this phase; misses are folded in serially below.
+    // assembled graph is bit-identical for any thread count.
     const auto t_graph = Clock::now();
     DenseGraph graph(n);
     std::atomic<bool> any_edge{false};
+    std::atomic<std::int64_t> gamma_evals{0};
     const auto eval_row = [&](std::int64_t row) {
       const int u = static_cast<int>(row);
       thread_local PlanScratch scratch;
       thread_local std::vector<ResourceVector> group;
-      thread_local std::vector<int> key;
       const GroupNode& a = nodes[static_cast<size_t>(u)];
       bool row_edge = false;
+      std::int64_t row_evals = 0;
       for (int v = u + 1; v < n; ++v) {
         const GroupNode& b = nodes[static_cast<size_t>(v)];
         const int combined =
             static_cast<int>(a.members.size() + b.members.size());
         if (combined > max_group_size) continue;
+        ++row_evals;
         double gamma = 0;
-        bool cached = false;
-        if (round > 0) {  // round 0 starts with a provably empty cache
-          union_key(a, b, key);
-          const auto it = gamma_cache.find(key);
-          if (it != gamma_cache.end()) {
-            gamma = it->second;
-            cached = true;
-          }
-        } else if (combined == 2 && pair_hook != nullptr) {
+        if (round == 0 && pair_hook != nullptr &&
+            pair_hook->lookup(a.members[0], b.members[0], &gamma)) {
           // Cross-round pair memo (matching/incremental): the hook
           // validates full profile bits, so a hit is bit-identical to
-          // recomputation. Read-only here — stores happen in the serial
-          // fold below.
-          cached = pair_hook->lookup(a.members[0], b.members[0], &gamma);
-        }
-        if (!cached) {
-          if (combined == 2) {
-            gamma = pairwise_efficiency(
-                profiles[static_cast<size_t>(a.members[0])],
-                profiles[static_cast<size_t>(b.members[0])]);
-          } else {
-            group.clear();
-            for (int idx : a.members) {
-              group.push_back(profiles[static_cast<size_t>(idx)]);
-            }
-            for (int idx : b.members) {
-              group.push_back(profiles[static_cast<size_t>(idx)]);
-            }
-            gamma = interleave_efficiency(group, scratch);
+          // recomputation. Read-only here — stores happen serially below.
+        } else if (combined == 2) {
+          gamma = pairwise_efficiency(
+              profiles[static_cast<size_t>(a.members[0])],
+              profiles[static_cast<size_t>(b.members[0])]);
+        } else {
+          group.clear();
+          for (int idx : a.members) {
+            group.push_back(profiles[static_cast<size_t>(idx)]);
           }
+          for (int idx : b.members) {
+            group.push_back(profiles[static_cast<size_t>(idx)]);
+          }
+          gamma = interleave_efficiency(group, scratch);
         }
         if (gamma > 0) {
           graph.set_weight(u, v, gamma);
@@ -231,41 +198,22 @@ std::vector<std::vector<int>> multi_round_grouping(
         }
       }
       if (row_edge) any_edge.store(true, std::memory_order_relaxed);
+      gamma_evals.fetch_add(row_evals, std::memory_order_relaxed);
     };
     if (pool != nullptr) {
       pool->parallel_for(0, n, eval_row);
     } else {
       for (int u = 0; u < n; ++u) eval_row(u);
     }
+    if (stats != nullptr) stats->cache_misses += gamma_evals.load();
 
-    // Fold this round's γ values into the cache. γ ≥ 0 always and edges
-    // with γ == 0 are simply absent from the graph, so the cell value *is*
-    // the computed γ. try_emplace finding the key present means an earlier
-    // round cached it — a hit the parallel phase already exploited (a pair
-    // of nodes that both survived a matching unmatched and would otherwise
-    // be recomputed from scratch). A miss therefore counts exactly one γ
-    // evaluation, a hit exactly one avoided.
-    {
-      std::vector<int> key;
+    if (round == 0 && pair_hook != nullptr) {
+      // Round-0 nodes are the singletons {u}, and every pair of them is
+      // admissible, so each pair reports its final γ — cell value 0 means
+      // "computed γ is 0", never "absent".
       for (int u = 0; u < n; ++u) {
         for (int v = u + 1; v < n; ++v) {
-          const GroupNode& a = nodes[static_cast<size_t>(u)];
-          const GroupNode& b = nodes[static_cast<size_t>(v)];
-          const int combined =
-              static_cast<int>(a.members.size() + b.members.size());
-          if (combined > max_group_size) continue;
-          union_key(a, b, key);
-          const bool inserted =
-              gamma_cache.try_emplace(key, graph.weight(u, v)).second;
-          if (stats != nullptr) {
-            ++(inserted ? stats->cache_misses : stats->cache_hits);
-          }
-          if (round == 0 && combined == 2 && pair_hook != nullptr) {
-            // Every admissible round-0 pair reports its final γ — cell
-            // value 0 means "computed γ is 0", never "absent", because
-            // round 0 offers every pair.
-            pair_hook->store(a.members[0], b.members[0], graph.weight(u, v));
-          }
+          pair_hook->store(u, v, graph.weight(u, v));
         }
       }
     }

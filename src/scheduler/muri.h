@@ -108,8 +108,7 @@ struct MuriOptions {
 };
 
 // Counters for one scheduling round (or one multi_round_grouping call):
-// where the time went and how often the γ-memoization short-circuited a
-// super-node re-evaluation.
+// where the time went and how much matching work it did.
 struct GroupingStats {
   // Wall seconds spent building matching-graph edge weights. Summed across
   // buckets, so with concurrent buckets this can exceed the round's wall
@@ -124,9 +123,10 @@ struct GroupingStats {
   // in byte-compared outputs.
   double priority_sort_seconds = 0;
   double admission_seconds = 0;
-  // γ-cache outcomes: a miss is one γ evaluation performed, a hit one
-  // avoided — a node pair whose members both survived a previous round's
-  // matching unmatched and whose edge weight was therefore already known.
+  // γ evaluations: a miss is one admissible node pair whose γ was
+  // computed (or served by the round-0 pair hook). Hits stay 0 — no γ is
+  // memoized across grouping stages, because the only pairs that meet
+  // twice are survivors of an exact matching, whose γ is always 0.
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
   // Blossom invocations.
@@ -233,19 +233,21 @@ std::vector<std::vector<int>> multi_round_grouping(
 
 // Full-control variant: `pool` (may be null → serial) parallelizes the
 // per-round edge-weight construction; `stats` (may be null) receives
-// timing and γ-cache counters. The returned grouping is bit-identical for
-// every pool size: each (u, v) edge weight is computed exactly once and
-// written to its own slot, the Blossom matching itself runs serially on
-// the assembled graph, and the γ-cache is only ever read during the
-// parallel phase (misses are folded in serially between rounds).
+// timing and γ-evaluation counters. The returned grouping is bit-identical
+// for every pool size: each (u, v) edge weight is computed exactly once
+// per round and written to its own slot, and the Blossom matching itself
+// runs serially on the assembled graph (reusing a per-thread matcher, see
+// matching/blossom.h). No γ is kept across rounds: a pair can only meet
+// again if both nodes survived an exact max-weight matching unmatched,
+// and then its γ is 0.
 // `capture` (may be null) receives one MatchingRoundRecord per Blossom
 // round — nodes, positive edges, merges, survivors — copied out of the
 // assembled graph after the fact; populating it never changes the result
 // (see matching/capture.h).
 // `pair_hook` (may be null) is consulted for round-0 pairwise γ values
 // (matching/incremental): lookup during the parallel edge phase
-// (read-only, concurrency-safe), store from the serial fold loop with
-// the final cell value of every admissible round-0 pair. A hook whose
+// (read-only, concurrency-safe), store from a serial loop after it with
+// the final cell value of every round-0 pair. A hook whose
 // lookups return values bit-identical to pairwise_efficiency — the
 // PairGammaCache contract — leaves the grouping bit-identical.
 std::vector<std::vector<int>> multi_round_grouping(

@@ -19,12 +19,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string fmt_num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -93,12 +87,12 @@ std::string job_status_json(const JobStatus& st) {
   if (!st.name.empty()) out += ",\"name\":\"" + json_escape(st.name) + "\"";
   out += ",\"gpus\":" + std::to_string(st.num_gpus);
   out += ",\"iterations\":" + std::to_string(st.iterations);
-  out += ",\"done\":" + fmt_num(st.done_iterations);
-  out += ",\"submit_t\":" + fmt_num(st.submit_time);
+  out += ",\"done\":" + obs::g17(st.done_iterations);
+  out += ",\"submit_t\":" + obs::g17(st.submit_time);
   if (st.first_scheduled >= 0) {
-    out += ",\"first_scheduled_t\":" + fmt_num(st.first_scheduled);
+    out += ",\"first_scheduled_t\":" + obs::g17(st.first_scheduled);
   }
-  if (st.end_time >= 0) out += ",\"end_t\":" + fmt_num(st.end_time);
+  if (st.end_time >= 0) out += ",\"end_t\":" + obs::g17(st.end_time);
   out += ",\"preemptions\":" + std::to_string(st.preemptions);
   out += "}";
   return out;
@@ -122,7 +116,7 @@ std::string admitted_json(const QueuedSubmission& s) {
   }
   out += ",\"gpus\":" + std::to_string(s.spec.num_gpus);
   out += ",\"iterations\":" + std::to_string(s.spec.iterations);
-  out += ",\"submit_t\":" + fmt_num(s.submit_time);
+  out += ",\"submit_t\":" + obs::g17(s.submit_time);
   out += "}";
   return out;
 }
@@ -707,9 +701,9 @@ void MuriDaemon::handle_healthz(bool plain, obs::HttpResponse& resp) {
   out += h.ok ? "ok" : "degraded";
   out += "\"";
   if (!h.ok) out += ",\"reason\":\"" + json_escape(h.reason) + "\"";
-  out += ",\"uptime_s\":" + fmt_num(wall_now());
-  out += ",\"sim_t\":" + fmt_num(sim_now());
-  out += ",\"loop_stall_s\":" + fmt_num(h.stall_s);
+  out += ",\"uptime_s\":" + obs::g17(wall_now());
+  out += ",\"sim_t\":" + obs::g17(sim_now());
+  out += ",\"loop_stall_s\":" + obs::g17(h.stall_s);
   out += ",\"version\":\"" + std::string(build_version()) + "\"";
   out += ",\"git_sha\":\"" + std::string(build_git_sha()) + "\"}\n";
   resp.content_type = "application/json";
@@ -729,22 +723,22 @@ void MuriDaemon::handle_stats(obs::HttpResponse& resp) {
     obs::Summary& s = registry_.summary(metric, help);
     const std::vector<double> q = s.percentiles({50, 90, 99});
     std::string out = "{\"count\":" + std::to_string(s.count());
-    out += ",\"mean\":" + fmt_num(s.mean());
-    out += ",\"p50\":" + fmt_num(q[0]);
-    out += ",\"p90\":" + fmt_num(q[1]);
-    out += ",\"p99\":" + fmt_num(q[2]);
+    out += ",\"mean\":" + obs::g17(s.mean());
+    out += ",\"p50\":" + obs::g17(q[0]);
+    out += ",\"p90\":" + obs::g17(q[1]);
+    out += ",\"p99\":" + obs::g17(q[2]);
     out += "}";
     return out;
   };
 
-  std::string out = "{\"uptime_s\":" + fmt_num(wall_now());
-  out += ",\"sim_t\":" + fmt_num(sim_now());
+  std::string out = "{\"uptime_s\":" + obs::g17(wall_now());
+  out += ",\"sim_t\":" + obs::g17(sim_now());
   out += ",\"version\":\"" + std::string(build_version()) + "\"";
   out += ",\"git_sha\":\"" + std::string(build_git_sha()) + "\"";
   out += ",\"scheduler\":\"" + json_escape(scheduler_->name()) + "\"";
   out += ",\"health\":{\"status\":\"";
   out += h.ok ? "ok" : "degraded";
-  out += "\",\"loop_stall_s\":" + fmt_num(h.stall_s);
+  out += "\",\"loop_stall_s\":" + obs::g17(h.stall_s);
   out += ",\"round_overdue\":";
   out += h.round_overdue ? "true" : "false";
   if (!h.ok) out += ",\"reason\":\"" + json_escape(h.reason) + "\"";
@@ -782,8 +776,8 @@ void MuriDaemon::handle_stats(obs::HttpResponse& resp) {
       out += "\"";
       out += phase;
       out += "\":{\"count\":" + std::to_string(ps.count());
-      out += ",\"sum_s\":" + fmt_num(ps.sum());
-      out += ",\"p99\":" + fmt_num(ps.percentile(99));
+      out += ",\"sum_s\":" + obs::g17(ps.sum());
+      out += ",\"p99\":" + obs::g17(ps.percentile(99));
       out += "}";
     }
   }
@@ -795,17 +789,17 @@ void MuriDaemon::handle_stats(obs::HttpResponse& resp) {
     out += ",\"appended_bytes\":" + std::to_string(io.appended_bytes);
     out += ",\"unsynced_records\":" + std::to_string(io.unsynced_records);
     out += ",\"fsyncs\":" + std::to_string(io.fsyncs);
-    out += ",\"append_s\":" + fmt_num(io.append_seconds);
-    out += ",\"fsync_s\":" + fmt_num(io.fsync_seconds);
-    out += ",\"last_fsync_s\":" + fmt_num(io.last_fsync_seconds);
-    out += ",\"max_fsync_s\":" + fmt_num(io.max_fsync_seconds);
+    out += ",\"append_s\":" + obs::g17(io.append_seconds);
+    out += ",\"fsync_s\":" + obs::g17(io.fsync_seconds);
+    out += ",\"last_fsync_s\":" + obs::g17(io.last_fsync_seconds);
+    out += ",\"max_fsync_s\":" + obs::g17(io.max_fsync_seconds);
     out += "}";
   }
-  out += ",\"engine\":{\"last_round_t\":" + fmt_num(last_round_sim_);
+  out += ",\"engine\":{\"last_round_t\":" + obs::g17(last_round_sim_);
   const Time nf = engine_->next_finish_time();
   out += ",\"next_finish_t\":";
-  out += std::isfinite(nf) ? fmt_num(nf) : std::string("null");
-  out += ",\"last_advance_t\":" + fmt_num(engine_->last_advance());
+  out += std::isfinite(nf) ? obs::g17(nf) : std::string("null");
+  out += ",\"last_advance_t\":" + obs::g17(engine_->last_advance());
   out += "}";
   out += ",\"wait_buckets\":{\"enabled\":";
   out += jobtrace_ != nullptr ? "true" : "false";
@@ -819,7 +813,7 @@ void MuriDaemon::handle_stats(obs::HttpResponse& resp) {
       if (k > 0) out += ',';
       out += "\"";
       out += obs::span_kind_name(static_cast<obs::SpanKind>(k));
-      out += "\":" + fmt_num(totals[static_cast<std::size_t>(k)]);
+      out += "\":" + obs::g17(totals[static_cast<std::size_t>(k)]);
     }
     out += "}";
   }
@@ -830,7 +824,7 @@ void MuriDaemon::handle_stats(obs::HttpResponse& resp) {
   out += history_ != nullptr ? "true" : "false";
   if (history_ != nullptr) {
     out += ",\"samples\":" + std::to_string(history_->samples_taken());
-    out += ",\"interval_s\":" + fmt_num(options_.sample_interval_s);
+    out += ",\"interval_s\":" + obs::g17(options_.sample_interval_s);
     out +=
         ",\"capacity\":" + std::to_string(history_->capacity_per_series());
   }
@@ -966,7 +960,7 @@ void MuriDaemon::handle_list(obs::HttpResponse& resp) {
     first = false;
     out += job_status_json(st);
   }
-  out += "],\"sim_t\":" + fmt_num(sim_now()) + "}\n";
+  out += "],\"sim_t\":" + obs::g17(sim_now()) + "}\n";
   resp.content_type = "application/json";
   resp.body = std::move(out);
 }
@@ -1024,7 +1018,7 @@ void MuriDaemon::handle_timeline(JobId id, obs::HttpResponse& resp) {
   }
   std::string out = "{\"version\":\"" + std::string(build_version()) + "\"";
   out += ",\"git_sha\":\"" + std::string(build_git_sha()) + "\"";
-  out += ",\"sim_t\":" + fmt_num(sim_now());
+  out += ",\"sim_t\":" + obs::g17(sim_now());
   out += ",\"timeline\":" + obs::timeline_json(t) + "}\n";
   resp.content_type = "application/json";
   resp.body = std::move(out);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "matching/blossom.h"
@@ -229,6 +231,39 @@ TEST(Blossom, LargeCompleteGraphTerminatesAndIsValid) {
   EXPECT_TRUE(g.validate(m));
   // Complete graph with positive weights: perfect matching.
   EXPECT_EQ(m.pairs, n / 2);
+}
+
+// max_weight_matching reuses one matcher per thread. Sizes shuffled over
+// 2..200 make the reused storage both grow and shrink between calls; each
+// result must equal that of a newly constructed matcher. Half the graphs
+// use small integer weights, whose ties force blossom contraction.
+TEST(Blossom, ReusedMatcherEqualsFreshMatcher) {
+  Rng rng(4242);
+  std::vector<int> sizes;
+  for (int n = 2; n <= 200; ++n) sizes.push_back(n);
+  for (int i = static_cast<int>(sizes.size()) - 1; i > 0; --i) {
+    std::swap(sizes[static_cast<size_t>(i)],
+              sizes[static_cast<size_t>(rng.uniform_int(0, i))]);
+  }
+  for (const int n : sizes) {
+    const double density = rng.uniform(0.05, 1.0);
+    const bool ties = rng.bernoulli(0.5);
+    DenseGraph g(n);
+    detail::BlossomMatcher fresh(n);
+    for (int u = 0; u < n; ++u) {
+      for (int v = u + 1; v < n; ++v) {
+        if (!rng.bernoulli(density)) continue;
+        const double w = ties ? static_cast<double>(rng.uniform_int(1, 3))
+                              : rng.uniform(0.01, 1.0);
+        g.set_weight(u, v, w);
+        fresh.set_weight(u, v, std::llround(w * kWeightScale));
+      }
+    }
+    std::int64_t total = 0;
+    const Matching reused = max_weight_matching(g);
+    EXPECT_EQ(reused.mate, fresh.solve(total)) << "n=" << n;
+    EXPECT_TRUE(g.validate(reused)) << "n=" << n;
+  }
 }
 
 TEST(BruteForceGrouping, PartitionsIntoBestGroups) {

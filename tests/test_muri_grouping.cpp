@@ -11,6 +11,7 @@
 #include "interleave/efficiency.h"
 #include "job/model.h"
 #include "matching/brute_force.h"
+#include "matching/capture.h"
 #include "scheduler/muri.h"
 
 namespace muri {
@@ -194,24 +195,52 @@ TEST(MultiRoundGrouping, InsertionOrderDoesNotChangeGroups) {
   }
 }
 
-TEST(MultiRoundGrouping, GammaCacheHitsOnRematchedSurvivors) {
-  // One two-resource job and three zero ("pure compute-free") profiles:
-  // the job pairs with one zero in round 1, and the two leftover zeros —
-  // whose γ of 0 was folded into the cache in round 1 — meet again in
-  // round 2 as an unchanged pair. That re-encounter must be a cache hit.
-  std::vector<ResourceVector> profiles = {
-      {0.5, 0.5, 0.0, 0.0},
-      {0.0, 0.0, 0.0, 0.0},
-      {0.0, 0.0, 0.0, 0.0},
-      {0.0, 0.0, 0.0, 0.0},
-  };
-  GroupingStats stats;
-  const auto groups = multi_round_grouping(profiles, 4, nullptr, &stats);
-  EXPECT_GE(stats.cache_hits, 1);
-  EXPECT_GT(stats.cache_misses, 0);
-  std::set<int> seen;
-  for (const auto& g : groups) seen.insert(g.begin(), g.end());
-  EXPECT_EQ(seen.size(), profiles.size());
+TEST(MultiRoundGrouping, UnmatchedSurvivorsHaveZeroGamma) {
+  // Why no γ is memoized across grouping stages: two nodes that meet
+  // again were both left unmatched by an exact max-weight matching, so
+  // their union's γ is 0. Sparse random profiles (half of them all-zero,
+  // the rest zero in each resource with probability 1/2) make such
+  // survivors common; every unmatched pair with an admissible union must
+  // have γ 0.
+  Rng rng(2718);
+  std::int64_t pairs_checked = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(2, 24));
+    std::vector<ResourceVector> profiles(static_cast<size_t>(n));
+    for (auto& p : profiles) {
+      if (rng.bernoulli(0.5)) continue;
+      for (double& t : p) t = rng.bernoulli(0.5) ? 0.0 : rng.uniform(0.1, 1.0);
+    }
+    for (int max_size : {2, 3, 4}) {
+      GroupingCapture capture;
+      GroupingStats stats;
+      const auto groups =
+          multi_round_grouping(profiles, max_size, nullptr, &stats, &capture);
+      EXPECT_EQ(stats.cache_hits, 0);
+      for (const MatchingRoundRecord& rec : capture.rounds) {
+        for (size_t i = 0; i < rec.unmatched.size(); ++i) {
+          for (size_t j = i + 1; j < rec.unmatched.size(); ++j) {
+            std::vector<ResourceVector> members;
+            for (int u : {rec.unmatched[i], rec.unmatched[j]}) {
+              for (int idx : rec.nodes[static_cast<size_t>(u)]) {
+                members.push_back(profiles[static_cast<size_t>(idx)]);
+              }
+            }
+            if (static_cast<int>(members.size()) > max_size) continue;
+            PlanScratch scratch;
+            EXPECT_EQ(interleave_efficiency(members, scratch), 0.0)
+                << "trial=" << trial << " k=" << max_size
+                << " stage=" << rec.stage;
+            ++pairs_checked;
+          }
+        }
+      }
+      std::set<int> seen;
+      for (const auto& g : groups) seen.insert(g.begin(), g.end());
+      EXPECT_EQ(seen.size(), profiles.size());
+    }
+  }
+  EXPECT_GT(pairs_checked, 0);
 }
 
 TEST(MuriPlan, InterleavedGroupsCarryFullSchedules) {

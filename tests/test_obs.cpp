@@ -6,13 +6,19 @@
 // exactly.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/threadpool.h"
 #include "job/model.h"
 #include "obs/json.h"
@@ -575,6 +581,75 @@ TEST(Json, DeepNestingFailsGracefully) {
   for (int i = 0; i < 64; ++i) ok += '[';
   for (int i = 0; i < 64; ++i) ok += ']';
   EXPECT_TRUE(obs::parse_json(ok, v));
+}
+
+// ---------------------------------------------------------------------------
+// JSON number writers
+
+// The printf formats the writers reproduce byte for byte.
+std::string printf_g17(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string printf_integer_first(double v) {
+  char buf[40];
+  if (v > -1e15 && v < 1e15 &&
+      v == static_cast<double>(static_cast<long long>(v))) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+  }
+  return buf;
+}
+
+void expect_printf_bytes(double v) {
+  std::string json;
+  obs::append_json_double(json, v);
+  ASSERT_EQ(json, printf_integer_first(v)) << printf_g17(v);
+  ASSERT_EQ(obs::g17(v), printf_g17(v));
+}
+
+TEST(JsonNumbers, EdgeValuesMatchPrintf) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  const double two53 = 9007199254740992.0;
+  for (const double v :
+       {0.0, -0.0, 1.0, -1.0, 0.5, 0.1 + 0.2, 1.0 / 3.0, kInf, -kInf,
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::nextafter(std::numeric_limits<double>::min(), 0.0),
+        std::numeric_limits<double>::min(), kMax, -kMax, 1e15, -1e15,
+        1e15 - 1, -(1e15 - 1), 1e15 - 0.5, std::nextafter(1e15, 0.0),
+        std::nextafter(1e15, kInf), std::nextafter(-1e15, 0.0), two53,
+        -two53, two53 + 2, std::nextafter(two53, 0.0), 9.2233720368547758e18,
+        1e21, 1e-5, 123456789012345.67, 1e16, 1e17}) {
+    expect_printf_bytes(v);
+  }
+  std::string zero;
+  obs::append_json_double(zero, -0.0);
+  EXPECT_EQ(zero, "0");
+  EXPECT_EQ(obs::g17(-0.0), "-0");
+}
+
+TEST(JsonNumbers, RandomBitPatternsMatchPrintf) {
+  std::mt19937_64 bits(20220822);
+  for (int i = 0; i < 1'000'000; ++i) {
+    expect_printf_bytes(std::bit_cast<double>(bits()));
+  }
+  // Random bit patterns are almost never integral; draw integers and
+  // halves around the plain-integer range too.
+  Rng rng(7);
+  for (int i = 0; i < 100'000; ++i) {
+    const double v = std::ldexp(static_cast<double>(rng.uniform_int(
+                                    -(std::int64_t{1} << 53),
+                                    std::int64_t{1} << 53)),
+                                static_cast<int>(rng.uniform_int(-1, 12)));
+    expect_printf_bytes(v);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@
 #include "recovery/resume.h"
 #include "recovery/wal.h"
 #include "scheduler/muri.h"
+#include "scratch_files.h"
 #include "sim/simulator.h"
 
 namespace muri {
@@ -35,7 +36,7 @@ using recovery::ReplayState;
 using recovery::WalImage;
 
 std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "muri_recovery_" + name;
+  return test::ScratchFiles::path("muri_recovery_", name);
 }
 
 std::string slurp(const std::string& path) {

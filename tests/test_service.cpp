@@ -19,6 +19,7 @@
 #include "obs/jobs_report.h"
 #include "obs/provenance.h"
 #include "recovery/wal.h"
+#include "scratch_files.h"
 #include "service/daemon.h"
 #include "service/http_client.h"
 
@@ -26,7 +27,7 @@ namespace muri::service {
 namespace {
 
 std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "muri_service_" + name;
+  return test::ScratchFiles::path("muri_service_", name);
 }
 
 std::string slurp(const std::string& path) {
