@@ -36,6 +36,22 @@ struct Job {
   std::string to_string() const;
 };
 
+// What a client submits to the daemon: the job's static description plus
+// service-side knobs. The ground-truth profile is derived from (model,
+// gpus) at admission into the engine, exactly like trace generation does.
+struct JobSpec {
+  ModelKind model = ModelKind::kResNet18;
+  int num_gpus = 1;
+  std::int64_t iterations = 0;
+  // Client-chosen idempotency key; resubmitting an identical name returns
+  // the original job id instead of a duplicate job. Empty = no dedupe.
+  std::string name;
+  // Start deadline in simulated seconds: a job still unscheduled this
+  // long after submission is cancelled by the service (0 = none) — the
+  // exemplar's start-deadline semantics.
+  double deadline_s = 0;
+};
+
 // True if g is a positive power of two (the placement and bucketing logic
 // relies on this normal form).
 bool is_power_of_two(int g) noexcept;

@@ -42,7 +42,10 @@
 //   deferred      jobs:[ids], reason                   (beyond the prefix)
 //   round_end     groups, admitted, rejected, contended
 //   placement     t, jobs:[ids], gpus, mode, machines:[ids], owner
-//   placement_skip t, jobs:[ids], gpus, reason, available_gpus
+//   placement_skip t, jobs:[ids], gpus, reason [, available_gpus]
+//                 (no_capacity only: the GPUs still free in the pool when
+//                 the group was skipped, after the round's earlier
+//                 placements)
 //   preempt       t, job, reason
 //   restart       t, job, reason
 //   evict         t, job, machine, reason

@@ -18,25 +18,9 @@
 #include <vector>
 
 #include "common/types.h"
-#include "job/model.h"
+#include "job/job.h"
 
 namespace muri::service {
-
-// What a client submits: the job's static description plus service-side
-// knobs. The ground-truth profile is derived from (model, gpus) at
-// admission into the engine, exactly like trace generation does.
-struct JobSpec {
-  ModelKind model = ModelKind::kResNet18;
-  int num_gpus = 1;
-  std::int64_t iterations = 0;
-  // Client-chosen idempotency key; resubmitting an identical name returns
-  // the original job id instead of a duplicate job. Empty = no dedupe.
-  std::string name;
-  // Start deadline in simulated seconds: a job still unscheduled this
-  // long after submission is cancelled by the service (0 = none) — the
-  // exemplar's start-deadline semantics.
-  double deadline_s = 0;
-};
 
 struct QueuedSubmission {
   JobSpec spec;

@@ -192,7 +192,17 @@ bool MuriDaemon::recover(recovery::RecoverResult& recovered,
   // checkpointed iterations, finish/job_cancel retire ids.
   const auto fold_job = [this](const obs::JsonValue& rec, std::string* err) {
     const std::string& type = rec.at("type").string;
-    const JobId id = static_cast<JobId>(rec.at("job").number);
+    // Job ids index the engine's dense job table: a negative, fractional
+    // or out-of-range id can only come from a damaged WAL.
+    const double raw_id = rec.at("job").number;
+    if (!(raw_id >= 0 && raw_id < 2147483648.0) ||
+        raw_id != std::floor(raw_id)) {
+      if (err != nullptr) {
+        *err = "WAL " + type + " record has an invalid job id";
+      }
+      return false;
+    }
+    const JobId id = static_cast<JobId>(raw_id);
     if (type == "job_submit") {
       RecoveredJob& job = recovered_[id];
       ModelKind model;
@@ -261,7 +271,6 @@ bool MuriDaemon::start(std::string* error) {
     }
     log_.set_sink(sink_.get());
   }
-  scheduler_->set_decision_log(&log_);
 
   // Live SLO plane. The store and tracker are nullable hooks; the
   // observer is always attached (registry summaries back /stats even with
@@ -280,15 +289,16 @@ bool MuriDaemon::start(std::string* error) {
   }
 
   EngineOptions eng;
+  static_cast<ExecModelParams&>(eng) = options_.exec;
   eng.cluster = options_.cluster;
-  eng.exec = options_.exec;
   eng.restart_penalty = options_.restart_penalty_s;
   eng.durations_known = scheduler_->needs_durations();
   eng.profiler = options_.profiler;
   eng.decisions = &log_;
   eng.jobtrace = jobtrace_.get();
   eng.observer = observer_.get();
-  engine_ = std::make_unique<ServiceEngine>(*scheduler_, eng);
+  // The engine also attaches log_ to the scheduler.
+  engine_ = std::make_unique<Engine>(*scheduler_, eng);
   queue_ = std::make_unique<AdmissionQueue>(options_.queue_capacity);
 
   wall_base_ = Clock::now();
@@ -310,7 +320,7 @@ bool MuriDaemon::start(std::string* error) {
       return static_cast<double>(engine_->running_jobs());
     });
     history_->add_probe("sim_time", obs::ProbeKind::kGauge,
-                        [this] { return engine_->last_advance(); });
+                        [this] { return engine_->now(); });
     history_->add_probe("submission_rate", obs::ProbeKind::kRate, [this] {
       return static_cast<double>(queue_->stats().accepted);
     });
@@ -436,7 +446,7 @@ void MuriDaemon::pump(Time now, bool force_round) {
     round_schedule_s_ = 0;
     round_place_s_ = 0;
     const auto t0 = Clock::now();
-    engine_->run_round(now);
+    engine_->run_round();
     const double round_s =
         std::chrono::duration<double>(Clock::now() - t0).count();
     last_round_sim_ = now;
@@ -540,7 +550,7 @@ void MuriDaemon::update_gauges() {
   registry_.gauge("muri_daemon_running_jobs", "Jobs currently placed")
       .set(static_cast<double>(engine_->running_jobs()));
   registry_.gauge("muri_daemon_sim_time", "Simulated clock (seconds)")
-      .set(engine_->last_advance());
+      .set(engine_->now());
   registry_
       .gauge("muri_daemon_rounds_total", "Scheduling rounds run")
       .set(static_cast<double>(engine_->rounds_run()));
@@ -799,7 +809,7 @@ void MuriDaemon::handle_stats(obs::HttpResponse& resp) {
   const Time nf = engine_->next_finish_time();
   out += ",\"next_finish_t\":";
   out += std::isfinite(nf) ? obs::g17(nf) : std::string("null");
-  out += ",\"last_advance_t\":" + obs::g17(engine_->last_advance());
+  out += ",\"last_advance_t\":" + obs::g17(engine_->now());
   out += "}";
   out += ",\"wait_buckets\":{\"enabled\":";
   out += jobtrace_ != nullptr ? "true" : "false";

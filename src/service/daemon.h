@@ -3,10 +3,10 @@
 //
 // One process owns the whole stack: an HTTP front door (obs/http_exporter
 // with the job API mounted as its handler), a bounded admission queue
-// (admission.h), the online scheduling engine (engine.h), a scheduler
-// instance, a DecisionLog with an optional durable WAL tap
-// (recovery/durable), and a metrics registry. A single event-loop thread
-// sequences everything that touches the engine:
+// (admission.h), the lifecycle engine the simulator also runs on
+// (sim/engine.h), a scheduler instance, a DecisionLog with an optional
+// durable WAL tap (recovery/durable), and a metrics registry. A single
+// event-loop thread sequences everything that touches the engine:
 //
 //   wake on: submission / cancel (condition variable), the next predicted
 //            job finish, the debounce window closing, or the fixed
@@ -59,7 +59,7 @@
 #include "recovery/durable.h"
 #include "scheduler/scheduler.h"
 #include "service/admission.h"
-#include "service/engine.h"
+#include "sim/engine.h"
 #include "sim/exec_model.h"
 
 namespace muri::service {
@@ -223,7 +223,7 @@ class MuriDaemon {
   obs::DecisionLog log_;
   std::unique_ptr<recovery::DurableSink> sink_;
   std::unique_ptr<Scheduler> scheduler_;
-  std::unique_ptr<ServiceEngine> engine_;
+  std::unique_ptr<Engine> engine_;
   std::unique_ptr<AdmissionQueue> queue_;
   std::unique_ptr<obs::HttpExporter> exporter_;
   // Per-job span recorder; null when jobtrace_enabled is off.

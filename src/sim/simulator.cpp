@@ -2,113 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <cmath>
 #include <limits>
-#include <map>
-#include <set>
 
 #include "common/logging.h"
-#include "common/rng.h"
-#include "obs/jobtrace.h"
-#include "obs/metrics.h"
 #include "obs/provenance.h"
-#include "obs/trace.h"
-#include "sim/exec_model.h"
 
 namespace muri {
 
 namespace {
 
-constexpr double kIterEps = 1e-6;
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// A group key identifies "the same running configuration"; jobs whose key
-// changes between rounds pay the restart penalty.
-struct GroupKey {
-  std::vector<JobId> members;  // sorted
-  GroupMode mode = GroupMode::kExclusive;
-  int num_gpus = 0;
-
-  bool operator==(const GroupKey& other) const = default;
-};
-
-// Utilization account for one group *incarnation*: an uninterrupted
-// placement of one member set under one configuration key. Busy seconds
-// accumulate as members progress (a job iterating with period T occupies
-// resource r for t^r seconds per iteration); the realized γ of the
-// incarnation is busy/active-window averaged over the resources the group
-// uses — the same averaging as interleave/group_efficiency, so it is
-// directly comparable to the schedule-time prediction.
-struct GroupAccount {
-  MachineId machine = kInvalidMachine;  // home machine (first of the set)
-  int size = 0;
-  GroupMode mode = GroupMode::kExclusive;
-  bool degraded = false;
-  double gamma_predicted = 0;
-  Time window_start = 0;
-  Time window_end = 0;
-  // Members share one restart gate; wall time before it is restart stall,
-  // excluded from the γ denominator (it is reported separately).
-  Time ready_at = 0;
-  std::array<double, kNumResources> busy{};
-  std::array<bool, kNumResources> active{};
-};
-
-struct JobState {
-  const Job* job = nullptr;
-  IterationProfile measured;
-  bool arrived = false;
-  bool finished = false;
-  bool running = false;
-  double done_iterations = 0;
-  double attained_gpu_seconds = 0;
-  Duration ran_wall = 0;  // wall seconds spent placed (for blocking index)
-  Duration restart_overhead = 0;  // placed-but-stalled (restart gate) wall
-  int preemptions = 0;    // placements lost to preemption or eviction
-  Time ready_at = 0;      // progress gate after (re)start
-  Duration period = 0;    // current wall seconds per iteration
-  Time next_fault = 0;    // scheduled failure while running (kInf = none)
-  double group_gamma = 0; // best-case γ of the current group (diagnostic)
-  GroupKey key;           // current group configuration
-  OwnerId owner = kNoOwner;       // GPU-set owner of the current group
-  double straggler_factor = 1.0;  // period inflation from machine stragglers
-  bool degraded = false;  // running in a group that lost a member mid-round
-  // Utilization account of the current incarnation (map storage keeps the
-  // pointer stable); -1 / nullptr when not running.
-  std::int64_t group_id = -1;
-  GroupAccount* acct = nullptr;
-  // Tracing bookkeeping: the open run-stage span (kNoTime = none) and the
-  // machine track it lives on.
-  Time run_since = kNoTime;
-  MachineId run_machine = kInvalidMachine;
-
-  Duration remaining_solo() const {
-    return (static_cast<double>(job->iterations) - done_iterations) *
-           job->profile.iteration_time();
-  }
-};
-
-// Book-keeping for a placed group: which jobs share which machines. Needed
-// to map machine-level fault events back to the resident jobs.
-struct RunningGroup {
-  std::vector<JobId> members;
-  GroupMode mode = GroupMode::kExclusive;
-  int num_gpus = 0;
-  std::vector<MachineId> machines;
-};
-
-const char* mode_name(GroupMode m) {
-  switch (m) {
-    case GroupMode::kExclusive:
-      return "exclusive";
-    case GroupMode::kInterleaved:
-      return "interleaved";
-    case GroupMode::kUncoordinated:
-      return "uncoordinated";
-  }
-  return "uncoordinated";
-}
 
 }  // namespace
 
@@ -119,52 +22,11 @@ SimResult run_simulation(const Trace& trace, Scheduler& scheduler,
   result.trace_name = trace.name;
   if (trace.jobs.empty()) return result;
 
-  Cluster cluster(options.cluster);
-  ResourceProfiler profiler(options.profiler);
-  // The period arithmetic lives in sim/exec_model, shared with the online
-  // service engine; the params mirror SimOptions field for field.
-  ExecModelParams exec_params;
-  exec_params.alpha = options.alpha;
-  exec_params.gamma_penalty = options.gamma_penalty;
-  exec_params.beta = options.beta;
-  exec_params.cascade_penalty = options.cascade_penalty;
-  exec_params.contention_penalty = options.contention_penalty;
-  exec_params.significant_duty = options.significant_duty;
-  exec_params.misplan_penalty = options.misplan_penalty;
-  const double fault_rate =
-      options.mtbf_hours > 0 ? 1.0 / (options.mtbf_hours * 3600.0) : 0.0;
-
   const auto n = trace.jobs.size();
-  std::vector<JobState> states(n);
-  // One fault substream per job: editing the trace (adding or dropping a
-  // job) leaves every other job's fault times untouched.
-  std::vector<Rng> job_fault_rng;
-  if (fault_rate > 0) job_fault_rng.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     assert(trace.jobs[i].id == static_cast<JobId>(i) &&
            "trace job ids must be dense");
-    states[i].job = &trace.jobs[i];
-    if (fault_rate > 0) {
-      job_fault_rng.emplace_back(
-          substream_seed(options.fault_seed, static_cast<std::uint64_t>(i)));
-    }
   }
-
-  // Machine-level fault domains: event source, health tracker, and the
-  // currently active per-machine straggler slowdowns.
-  WorkerMonitor monitor(options.cluster.num_machines, options.monitor);
-  std::vector<ResourceVector> machine_slow(
-      static_cast<size_t>(options.cluster.num_machines),
-      ResourceVector{1.0, 1.0, 1.0, 1.0});
-  std::map<OwnerId, RunningGroup> running_groups;
-
-  // Group incarnations, in creation order (ids are 1-based and never
-  // reused; a group that survives a scheduling round unchanged keeps its
-  // incarnation, any configuration change retires it and opens a new one).
-  std::int64_t group_seq = 0;
-  std::map<std::int64_t, GroupAccount> group_accounts;
-
-  // Arrival order.
   std::vector<size_t> arrival_order(n);
   for (size_t i = 0; i < n; ++i) arrival_order[i] = i;
   std::stable_sort(arrival_order.begin(), arrival_order.end(),
@@ -173,205 +35,31 @@ SimResult run_simulation(const Trace& trace, Scheduler& scheduler,
                    });
 
   size_t next_arrival = 0;
-  size_t finished_count = 0;
   Time now = trace.jobs[arrival_order[0]].submit_time;
+  const Time start_time = now;
   Time last_round = now - options.schedule_interval;  // first round fires now
-  bool dirty = false;
-  // Which jobs made the queue dirty since the last round — the lifecycle
-  // delta (arrivals, finishes, preemptions, evictions, faults) handed to
-  // the scheduler via SchedulerContext::dirty_jobs. Sorted + deduplicated
-  // right before each round; cleared after the plan is taken (apply_plan's
-  // own displacements then seed the next round's set).
-  std::vector<JobId> dirty_jobs;
 
+  Engine engine(scheduler, options, now);
+  // Machine-level fault domains: the event source and the health tracker
+  // that holds repaired machines on probation.
   FaultInjector injector(options.cluster.num_machines, options.machine_faults,
                          now);
+  WorkerMonitor monitor(options.cluster.num_machines, options.monitor);
 
-  // Fault accounting flows through a metrics registry (the caller's, so a
-  // live scrape sees the counters move mid-run, or a private one) and is
-  // read back into SimResult as per-run deltas at finalize. The increment
-  // sequence is identical to the old hand-rolled `result.x += ...`
-  // bookkeeping, so SimResult stays bit-identical.
-  obs::MetricsRegistry private_registry;
-  obs::MetricsRegistry& registry =
-      options.metrics != nullptr ? *options.metrics : private_registry;
-  obs::Counter& c_faults =
-      registry.counter("muri_sim_job_faults_total",
-                       "Job-level faults reported to the scheduler");
-  obs::Counter& c_restarts = registry.counter(
-      "muri_sim_restarts_total",
-      "Running jobs restarted by a group or placement change");
-  obs::Counter& c_machine_failures = registry.counter(
-      "muri_sim_machine_failures_total", "Machine-down events observed");
-  obs::Counter& c_evictions = registry.counter(
-      "muri_sim_evictions_total", "Jobs requeued by machine crashes");
-  obs::Counter& c_straggler_seconds =
-      registry.counter("muri_sim_straggler_seconds_total",
-                       "Job-seconds run at straggler slowdown > 1");
-  obs::Counter& c_degraded_seconds =
-      registry.counter("muri_sim_degraded_group_seconds_total",
-                       "Job-seconds run in a degraded group");
-  // Realized per-resource busy seconds, attributed to the home machine of
-  // the group that used them; live-scrapeable while the run advances. The
-  // SimResult totals come from a private accumulator, so a shared registry
-  // across runs never leaks seconds between results.
-  std::vector<std::array<obs::Counter*, kNumResources>> c_busy(
-      static_cast<size_t>(options.cluster.num_machines));
-  for (int m = 0; m < options.cluster.num_machines; ++m) {
-    for (int r = 0; r < kNumResources; ++r) {
-      c_busy[static_cast<size_t>(m)][static_cast<size_t>(r)] =
-          &registry.counter(
-              "muri_resource_busy_seconds",
-              "Realized busy seconds per home machine and resource",
-              {{"machine", std::to_string(m)},
-               {"resource",
-                std::string(to_string(static_cast<Resource>(r)))}});
-    }
-  }
-  std::array<double, kNumResources> busy_total{};
-  obs::Summary& s_gamma_realized = registry.summary(
-      "muri_group_gamma_realized",
-      "Realized interleaving efficiency per retired multi-member group");
-  obs::Summary& s_gamma_error = registry.summary(
-      "muri_group_gamma_error",
-      "Realized minus predicted gamma per retired multi-member group");
-  obs::Summary& s_job_queueing = registry.summary(
-      "muri_job_queueing_seconds", "Per-job wall seconds arrived but unplaced");
-  obs::Summary& s_job_running = registry.summary(
-      "muri_job_running_seconds", "Per-job wall seconds placed and progressing");
-  obs::Summary& s_job_restart_overhead = registry.summary(
-      "muri_job_restart_overhead_seconds",
-      "Per-job wall seconds placed but stalled in a restart gate");
-  obs::Summary& s_job_preemptions = registry.summary(
-      "muri_job_preemptions", "Per-job placements lost to preemption or eviction");
-  // Decision counters by cause, mirroring the provenance log's preempt/
-  // evict records onto /metrics (incremented whether or not a log is
-  // attached, like every other counter here).
-  obs::Counter& c_dec_preempt_displaced = registry.counter(
-      "muri_decision_preemptions_total", "Preemptions by cause",
-      {{"reason", "displaced"}});
-  obs::Counter& c_dec_preempt_machine = registry.counter(
-      "muri_decision_preemptions_total", "Preemptions by cause",
-      {{"reason", "machine_down"}});
-
-  const double base_faults = c_faults.value();
-  const double base_restarts = c_restarts.value();
-  const double base_machine_failures = c_machine_failures.value();
-  const double base_evictions = c_evictions.value();
-  const double base_straggler_seconds = c_straggler_seconds.value();
-  const double base_degraded_seconds = c_degraded_seconds.value();
-
-  // Event tracing (simulated-time clock domain). Track layout: one track
-  // per machine (job run-stage spans + fault windows) plus the scheduler
-  // track (submits, rounds). All instrumentation below is read-only with
-  // respect to simulation state.
-  obs::Tracer* const tracer = options.tracer;
-  // Decision provenance: the simulator writes the outcome half of every
-  // round (placements, skips, preemptions with cause) against the round
-  // id the scheduler stamped. The same sink is attached to the scheduler
-  // so one log carries both halves — unless the caller already wired a
-  // log of their own into the scheduler, which then wins.
+  // Run-lifecycle records (sim_start … sim_end) bracket the run so replay
+  // (src/recovery) can tell runs apart in a shared log and rebuild the
+  // cluster shape without the trace in hand.
   obs::DecisionLog* const decisions = options.decisions;
-  if (decisions != nullptr && scheduler.decision_log() == nullptr) {
-    scheduler.set_decision_log(decisions);
+  if (decisions != nullptr) {
+    decisions->entry("sim_start")
+        .num("t", now)
+        .integer("jobs", static_cast<std::int64_t>(n))
+        .integer("machines", options.cluster.num_machines)
+        .integer("gpus", engine.cluster().total_gpus())
+        .num("interval", options.schedule_interval)
+        .num("restart_penalty", options.restart_penalty);
   }
-  // Per-job causal span recorder. Its events mirror what the decision log
-  // already captures (plus the "wait"/"straggler" records written below
-  // when a log is attached), so attaching it never changes SimResult, the
-  // log, or the trace.
-  obs::JobTraceLog* const jobtrace = options.jobtrace;
-  if (jobtrace != nullptr) {
-    jobtrace->set_restart_penalty(options.restart_penalty);
-    if (options.metrics != nullptr) jobtrace->set_metrics(options.metrics);
-  }
-  // The decision-log round id of the most recent scheduling round (the
-  // scheduler-invocation ordinal when no log is wired — same convention
-  // as the tracer's "round" arg), stamped on jobtrace events that happen
-  // between rounds (evictions, faults, degraded continuations).
-  std::int64_t cur_round_id = 0;
-  // Several runs may share one tracer (bench tables); the epoch separates
-  // their overlapping sim-time windows and reused job/group ids for the
-  // analysis layer.
-  const double run_epoch =
-      tracer != nullptr ? static_cast<double>(tracer->begin_run_epoch()) : 0.0;
-  const auto to_us = [](Time t) {
-    return static_cast<std::int64_t>(t * 1e6);
-  };
-  if (tracer != nullptr) {
-    tracer->set_manual_seconds(now);
-    tracer->name_track(obs::kSchedulerTrack, "scheduler");
-    for (int m = 0; m < options.cluster.num_machines; ++m) {
-      tracer->name_track(obs::machine_track(m), "machine " + std::to_string(m));
-    }
-  }
-  // Open fault windows per machine (kNoTime = none), exported as spans on
-  // the machine track when the window closes or the run ends.
-  std::vector<Time> machine_down_since(
-      static_cast<size_t>(options.cluster.num_machines), kNoTime);
-  std::vector<Time> machine_straggler_since(
-      static_cast<size_t>(options.cluster.num_machines), kNoTime);
 
-  // Run-stage span helpers. A span covers one uninterrupted placement of a
-  // job (same group key, same machine set); whatever ends it — preemption,
-  // eviction, fault, completion, regrouping — closes the span first and
-  // then marks the cause with an instant event.
-  const auto end_run_span = [&](JobState& s) {
-    if (tracer == nullptr || s.run_since == kNoTime) return;
-    const int pid = obs::machine_track(s.run_machine >= 0 ? s.run_machine : 0);
-    // Span cycling keeps (period, straggler factor, machine) constant over
-    // each span, so one set of busy fractions describes its whole window:
-    // resource r was occupied busy_<r> × (dur − overhead) seconds.
-    // `overhead` is the restart-gate stall inside this span; `group` ties
-    // the span to its group incarnation, `gamma_pred` is the schedule-time
-    // γ the analysis layer compares realized utilization against.
-    const Duration span_wall = now - s.run_since;
-    const Duration span_overhead =
-        std::clamp(s.ready_at - s.run_since, 0.0, span_wall);
-    std::array<double, kNumResources> busy{};
-    if (s.period > 0 && std::isfinite(s.period)) {
-      for (int r = 0; r < kNumResources; ++r) {
-        busy[static_cast<size_t>(r)] =
-            s.job->profile.stage_time[static_cast<size_t>(r)] /
-            (s.period * s.straggler_factor);
-      }
-    }
-    obs::TraceArgs args("group_size",
-                        static_cast<double>(s.key.members.size()), "gamma",
-                        s.group_gamma, "period", s.period, "degraded",
-                        s.degraded ? 1.0 : 0.0);
-    args.add("run", run_epoch)
-        .add("group", static_cast<double>(s.group_id))
-        .add("gamma_pred", s.acct != nullptr ? s.acct->gamma_predicted : 0.0)
-        .add("overhead", span_overhead)
-        .add("busy_storage", busy[0])
-        .add("busy_cpu", busy[1])
-        .add("busy_gpu", busy[2])
-        .add("busy_net", busy[3]);
-    tracer->complete(to_us(s.run_since), to_us(now) - to_us(s.run_since),
-                     "run-stage", "job", pid, static_cast<int>(s.job->id),
-                     args);
-    s.run_since = kNoTime;
-    s.run_machine = kInvalidMachine;
-  };
-  const auto begin_run_span = [&](JobState& s, MachineId machine) {
-    if (tracer == nullptr) return;
-    s.run_since = now;
-    s.run_machine = machine;
-    tracer->name_lane(obs::machine_track(machine >= 0 ? machine : 0),
-                      static_cast<int>(s.job->id),
-                      "job " + std::to_string(s.job->id));
-  };
-  const auto job_instant = [&](const JobState& s, const char* name) {
-    if (tracer == nullptr) return;
-    const int pid = s.run_machine >= 0 ? obs::machine_track(s.run_machine)
-                                       : obs::kSchedulerTrack;
-    tracer->instant_at(to_us(now), name, "job", pid,
-                       static_cast<int>(s.job->id),
-                       obs::TraceArgs("job", static_cast<double>(s.job->id),
-                                      "run", run_epoch));
-  };
-
-  // Metrics accumulators.
   TimeWeightedAverage queue_avg;
   TimeWeightedAverage blocking_avg;
   TimeWeightedAverage running_avg;
@@ -384,647 +72,60 @@ SimResult run_simulation(const Trace& trace, Scheduler& scheduler,
   std::array<SeriesRecorder, kNumResources> util_series;
   result.jcts.reserve(n);
 
-  // Current cluster-level utilization per resource, recomputed on plan
-  // application and on completions.
-  std::array<double, kNumResources> utilization{};
-
-  auto pending_stats = [&](double& queue_len, double& blocking) {
-    queue_len = 0;
-    double blocking_sum = 0;
-    int pending = 0;
-    for (const JobState& s : states) {
-      if (!s.arrived || s.finished || s.running) continue;
-      ++pending;
-      const Duration pending_time =
-          (now - s.job->submit_time) - s.ran_wall;
-      const Duration remaining = std::max(s.remaining_solo(), 1.0);
-      blocking_sum += std::max(pending_time, 0.0) / remaining;
+  const auto observe_metrics = [&] {
+    const EngineSample s = engine.sample();
+    queue_avg.observe(now, s.queued);
+    blocking_avg.observe(now, s.blocking);
+    running_avg.observe(now, s.running);
+    if (s.grouped > 0) gamma_avg.observe(now, s.mean_gamma);
+    if (s.running > 0) {
+      rate_avg.observe(now, s.mean_rate);
+      width_avg.observe(now, s.mean_width);
     }
-    queue_len = pending;
-    blocking = pending > 0 ? blocking_sum / pending : 0.0;
-  };
-
-  auto observe_metrics = [&]() {
-    double queue_len = 0, blocking = 0;
-    pending_stats(queue_len, blocking);
-    queue_avg.observe(now, queue_len);
-    blocking_avg.observe(now, blocking);
-    // Execution-shape diagnostics.
-    {
-      int running = 0;
-      double rate_sum = 0;
-      std::map<std::vector<JobId>, int> groups_seen;
-      for (const JobState& s : states) {
-        if (!s.running) continue;
-        ++running;
-        const Duration iter = s.job->profile.iteration_time();
-        if (s.period > 0) rate_sum += iter / s.period;
-        groups_seen[s.key.members] = static_cast<int>(s.key.members.size());
-      }
-      running_avg.observe(now, running);
-      double gamma_sum = 0;
-      int grouped = 0;
-      for (const JobState& s : states) {
-        if (s.running && s.key.members.size() > 1) {
-          gamma_sum += s.group_gamma;
-          ++grouped;
-        }
-      }
-      if (grouped > 0) gamma_avg.observe(now, gamma_sum / grouped);
-      if (running > 0) {
-        rate_avg.observe(now, rate_sum / running);
-        double width_sum = 0;
-        for (const auto& [members, width] : groups_seen) width_sum += width;
-        width_avg.observe(now, width_sum / static_cast<double>(groups_seen.size()));
-      }
-    }
-    for (int j = 0; j < kNumResources; ++j) {
-      util_avg[static_cast<size_t>(j)].observe(
-          now, utilization[static_cast<size_t>(j)]);
+    for (size_t r = 0; r < static_cast<size_t>(kNumResources); ++r) {
+      util_avg[r].observe(now, s.utilization[r]);
     }
     if (options.record_series) {
-      queue_series.record(now, queue_len);
-      blocking_series.record(now, blocking);
-      for (int j = 0; j < kNumResources; ++j) {
-        util_series[static_cast<size_t>(j)].record(
-            now, utilization[static_cast<size_t>(j)]);
-      }
-    }
-  };
-
-  // Recomputes cluster utilization from the currently running jobs.
-  auto recompute_utilization = [&]() {
-    utilization.fill(0.0);
-    const double total_gpus = cluster.total_gpus();
-    // Group jobs by their group key to avoid double counting shared GPUs:
-    // each running job contributes its own stage-time densities on its
-    // group's GPU share.
-    std::set<JobId> seen_group_anchor;
-    for (const JobState& s : states) {
-      if (!s.running || s.period <= 0) continue;
-      // GPU-share weight of this job's group, attributed once per member
-      // via equal division (members share the same GPU set).
-      const double share =
-          static_cast<double>(s.key.num_gpus) / total_gpus;
-      for (int j = 0; j < kNumResources; ++j) {
-        const double density =
-            s.job->profile.stage_time[static_cast<size_t>(j)] / s.period;
-        utilization[static_cast<size_t>(j)] += share * std::min(density, 1.0);
-      }
-    }
-    for (int j = 0; j < kNumResources; ++j) {
-      utilization[static_cast<size_t>(j)] =
-          std::min(utilization[static_cast<size_t>(j)], 1.0);
-    }
-  };
-
-  // Chrome counter track per machine: the per-resource busy fractions of
-  // the jobs attributed to it, sampled whenever the running set changes
-  // (counters hold their value between samples, so change points suffice).
-  auto emit_busy_counters = [&]() {
-    if (tracer == nullptr) return;
-    std::vector<std::array<double, kNumResources>> density(
-        static_cast<size_t>(options.cluster.num_machines));
-    for (const JobState& s : states) {
-      if (!s.running || s.finished || s.acct == nullptr) continue;
-      if (!(s.period > 0) || !std::isfinite(s.period)) continue;
-      size_t m = s.acct->machine >= 0 ? static_cast<size_t>(s.acct->machine)
-                                      : 0;
-      if (m >= density.size()) m = 0;
-      for (int r = 0; r < kNumResources; ++r) {
-        density[m][static_cast<size_t>(r)] +=
-            s.job->profile.stage_time[static_cast<size_t>(r)] /
-            (s.period * s.straggler_factor);
-      }
-    }
-    for (size_t m = 0; m < density.size(); ++m) {
-      tracer->counter(to_us(now), "busy",
-                      obs::machine_track(static_cast<int>(m)),
-                      obs::TraceArgs("storage", density[m][0], "cpu",
-                                     density[m][1], "gpu", density[m][2],
-                                     "network", density[m][3]));
-    }
-  };
-
-  auto advance_to = [&](Time t) {
-    assert(t >= now);
-    if (t == now) return;
-    for (JobState& s : states) {
-      if (!s.running || s.finished) continue;
-      const Duration dt = t - now;
-      s.ran_wall += dt;
-      const Time start = std::max(now, s.ready_at);
-      const Duration effective =
-          t > start && s.period > 0 ? t - start : 0.0;
-      s.restart_overhead += dt - effective;
-      if (effective > 0) {
-        s.done_iterations += effective / (s.period * s.straggler_factor);
-        s.attained_gpu_seconds +=
-            effective * static_cast<double>(s.job->num_gpus);
-        if (s.straggler_factor > 1.0) c_straggler_seconds.inc(effective);
-        if (s.degraded) c_degraded_seconds.inc(effective);
-        // Realized busy attribution: progressing at 1/(period·straggler)
-        // iterations per second, the job occupies resource r for t^r
-        // seconds per iteration. Credited to the group account and to the
-        // home machine's busy counters.
-        if (s.acct != nullptr && std::isfinite(s.period)) {
-          const double iters = effective / (s.period * s.straggler_factor);
-          size_t m = s.acct->machine >= 0
-                         ? static_cast<size_t>(s.acct->machine)
-                         : 0;
-          if (m >= c_busy.size()) m = 0;
-          for (int r = 0; r < kNumResources; ++r) {
-            const auto ri = static_cast<size_t>(r);
-            const double db =
-                iters * s.job->profile.stage_time[ri];
-            if (db <= 0) continue;
-            s.acct->busy[ri] += db;
-            busy_total[ri] += db;
-            c_busy[m][ri]->inc(db);
-          }
-        }
-      }
-      if (s.acct != nullptr) s.acct->window_end = t;
-    }
-    now = t;
-    if (tracer != nullptr) tracer->set_manual_seconds(now);
-  };
-
-  auto projected_finish = [&](const JobState& s) -> Time {
-    if (!s.running || s.period <= 0) return kInf;
-    const double remaining =
-        static_cast<double>(s.job->iterations) - s.done_iterations;
-    if (remaining <= kIterEps) return now;
-    return std::max(now, s.ready_at) +
-           remaining * s.period * s.straggler_factor;
-  };
-
-  // Period inflation a job sees from the straggler windows active on its
-  // group's machines: per-resource factors weighted by the job's own stage
-  // mix (a slow disk only hurts storage-heavy jobs).
-  auto straggler_factor_for = [&](const Job& job,
-                                  const std::vector<MachineId>& machines) {
-    ResourceVector f{1.0, 1.0, 1.0, 1.0};
-    bool any = false;
-    for (MachineId m : machines) {
-      const ResourceVector& slow = machine_slow[static_cast<size_t>(m)];
+      queue_series.record(now, s.queued);
+      blocking_series.record(now, s.blocking);
       for (size_t r = 0; r < static_cast<size_t>(kNumResources); ++r) {
-        f[r] = std::max(f[r], slow[r]);
-        any = any || slow[r] > 1.0;
-      }
-    }
-    if (!any) return 1.0;
-    double num = 0, den = 0;
-    for (size_t r = 0; r < static_cast<size_t>(kNumResources); ++r) {
-      num += job.profile.stage_time[r] * f[r];
-      den += job.profile.stage_time[r];
-    }
-    return den > 0 ? num / den : 1.0;
-  };
-
-  auto refresh_straggler_factors = [&]() {
-    for (const auto& [owner, group] : running_groups) {
-      for (JobId id : group.members) {
-        JobState& s = states[static_cast<size_t>(id)];
-        if (!s.running || s.finished) continue;
-        const double f = straggler_factor_for(*s.job, group.machines);
-        if (f == s.straggler_factor) continue;
-        // The factor scales the busy fractions stamped on the run-stage
-        // span, so a change cycles the span to keep them piecewise
-        // constant.
-        const MachineId m = s.run_machine;
-        end_run_span(s);
-        s.straggler_factor = f;
-        begin_run_span(s, m);
-        if (decisions != nullptr) {
-          decisions->entry("straggler")
-              .num("t", now)
-              .integer("job", id)
-              .num("factor", f);
-        }
-        if (jobtrace != nullptr) jobtrace->straggler(id, now, f);
+        util_series[r].record(now, s.utilization[r]);
       }
     }
   };
 
-  // Re-plans a group that lost a member mid-round: the survivors continue
-  // immediately on the same GPU set as a *degraded* group with freshly
-  // computed best-order periods, instead of stalling until the next
-  // scheduling round (the barrier-deadlock scenario in a live executor).
-  auto replan_degraded = [&](RunningGroup& g) {
-    const auto p = g.members.size();
-    if (p == 0) return;
-    std::vector<IterationProfile> profiles;
-    profiles.reserve(p);
-    int max_gpus = 0, min_gpus = std::numeric_limits<int>::max();
-    for (JobId id : g.members) {
-      const JobState& s = states[static_cast<size_t>(id)];
-      profiles.push_back(s.job->profile);
-      max_gpus = std::max(max_gpus, s.job->num_gpus);
-      min_gpus = std::min(min_gpus, s.job->num_gpus);
-    }
-
-    // No rotation schedule survives a member loss: the survivors run under
-    // the degraded rules (sim/exec_model) — fresh best-order plan for an
-    // interleaved remnant, uncoordinated sharing otherwise, exclusive for
-    // a lone survivor.
-    const GroupExecution ex =
-        compute_group_execution(profiles, g.mode, max_gpus, min_gpus, {}, {},
-                                0, /*degraded=*/true, exec_params);
-    g.mode = ex.effective_mode;
-    const std::vector<Duration>& periods = ex.periods;
-    const double gamma_pred = ex.gamma_pred;
-    if (g.mode == GroupMode::kInterleaved && p > 1) {
-      for (JobId id : g.members) {
-        states[static_cast<size_t>(id)].group_gamma = gamma_pred;
-      }
-    }
-
-    GroupKey key;
-    key.members = g.members;
-    std::sort(key.members.begin(), key.members.end());
-    key.mode = g.mode;
-    key.num_gpus = g.num_gpus;
-
-    // The degraded continuation is a fresh incarnation: same GPU set, new
-    // configuration. Survivors keep their old restart gate (they continue
-    // without paying a new penalty).
-    const MachineId home =
-        g.machines.empty() ? kInvalidMachine : g.machines.front();
-    const std::int64_t gid = ++group_seq;
-    GroupAccount acct;
-    acct.machine = home;
-    acct.size = static_cast<int>(p);
-    acct.mode = g.mode;
-    acct.degraded = true;
-    acct.gamma_predicted = gamma_pred;
-    acct.window_start = now;
-    acct.window_end = now;
-    for (size_t i = 0; i < p; ++i) {
-      const JobState& s = states[static_cast<size_t>(g.members[i])];
-      acct.ready_at = std::max(acct.ready_at, s.ready_at);
-      for (int r = 0; r < kNumResources; ++r) {
-        const auto ri = static_cast<size_t>(r);
-        if (s.job->profile.stage_time[ri] > 0) acct.active[ri] = true;
-      }
-    }
-    GroupAccount* const acct_ptr =
-        &group_accounts.emplace(gid, acct).first->second;
-
-    for (size_t i = 0; i < p; ++i) {
-      JobState& s = states[static_cast<size_t>(g.members[i])];
-      // A survivor's configuration changed: close its run-stage span and
-      // open the degraded continuation on the same machine track.
-      end_run_span(s);
-      s.period = periods[i];
-      s.key = key;
-      s.degraded = true;
-      s.group_id = gid;
-      s.acct = acct_ptr;
-      begin_run_span(s, home);
-    }
-    if (decisions != nullptr) {
-      decisions->entry("degraded_continue")
-          .num("t", now)
-          .ids("jobs", g.members)
-          .num("gamma", gamma_pred)
-          .str("mode", mode_name(g.mode));
-    }
-    if (jobtrace != nullptr) {
-      for (JobId id : g.members) {
-        jobtrace->degraded_continue(id, now, cur_round_id, g.members,
-                                    gamma_pred, mode_name(g.mode));
-      }
-    }
-  };
-
-  auto apply_plan = [&](const std::vector<PlannedGroup>& plan) {
-    cluster.reset();
-    running_groups.clear();
-    std::set<JobId> placed;
-    struct Admitted {
-      GroupKey key;
-      const PlannedGroup* group;
-      OwnerId owner;
-    };
-    std::vector<Admitted> admitted;
-    OwnerId next_owner = 1;
-
-    for (const PlannedGroup& g : plan) {
-      if (g.members.empty()) continue;
-      bool valid = true;
-      int max_gpus = 0;
-      int min_gpus = std::numeric_limits<int>::max();
-      for (JobId id : g.members) {
-        if (id < 0 || static_cast<size_t>(id) >= n) {
-          valid = false;
-          break;
-        }
-        const JobState& s = states[static_cast<size_t>(id)];
-        if (!s.arrived || s.finished || placed.count(id)) {
-          valid = false;
-          break;
-        }
-        max_gpus = std::max(max_gpus, s.job->num_gpus);
-        min_gpus = std::min(min_gpus, s.job->num_gpus);
-      }
-      if (!valid || g.num_gpus < max_gpus) {
-        if (decisions != nullptr) {
-          decisions->entry("placement_skip")
-              .num("t", now)
-              .ids("jobs", g.members)
-              .integer("gpus", g.num_gpus)
-              .str("reason", "invalid");
-        }
-        continue;
-      }
-      if (!cluster.can_allocate(g.num_gpus)) {
-        if (decisions != nullptr) {
-          decisions->entry("placement_skip")
-              .num("t", now)
-              .ids("jobs", g.members)
-              .integer("gpus", g.num_gpus)
-              .str("reason", "no_capacity")
-              .integer("available_gpus", cluster.available_gpus());
-        }
-        continue;
-      }
-      const OwnerId owner = next_owner++;
-      const std::vector<GpuId> gpus = cluster.allocate(owner, g.num_gpus);
-
-      RunningGroup rg;
-      rg.members = g.members;
-      rg.mode = g.mode;
-      rg.num_gpus = g.num_gpus;
-      for (GpuId gpu : gpus) {
-        const MachineId m = cluster.machine_of(gpu);
-        if (rg.machines.empty() || rg.machines.back() != m) {
-          rg.machines.push_back(m);
-        }
-      }
-      if (decisions != nullptr) {
-        std::vector<int> machine_ids;
-        machine_ids.reserve(rg.machines.size());
-        for (MachineId m : rg.machines) {
-          machine_ids.push_back(static_cast<int>(m));
-        }
-        decisions->entry("placement")
-            .num("t", now)
-            .ids("jobs", g.members)
-            .integer("gpus", g.num_gpus)
-            .str("mode", g.mode == GroupMode::kExclusive  ? "exclusive"
-                         : g.mode == GroupMode::kInterleaved
-                             ? "interleaved"
-                             : "uncoordinated")
-            .ints("machines", machine_ids)
-            .integer("owner", static_cast<std::int64_t>(owner));
-      }
-      if (jobtrace != nullptr) {
-        for (JobId id : g.members) {
-          jobtrace->placed(id, now, cur_round_id, g.members,
-                           g.predicted_gamma, mode_name(g.mode));
-        }
-      }
-      running_groups.emplace(owner, std::move(rg));
-
-      GroupKey key;
-      key.members = g.members;
-      std::sort(key.members.begin(), key.members.end());
-      key.mode = g.mode;
-      key.num_gpus = g.num_gpus;
-      for (JobId id : g.members) placed.insert(id);
-      admitted.push_back({std::move(key), &g, owner});
-      (void)min_gpus;
-    }
-
-    // Compute execution periods and start/continue jobs.
-    std::set<JobId> newly_running;
-    for (const auto& [key, group, owner] : admitted) {
-      const auto p = group->members.size();
-      std::vector<IterationProfile> true_profiles;
-      true_profiles.reserve(p);
-      int max_gpus = 0, min_gpus = std::numeric_limits<int>::max();
-      for (JobId id : group->members) {
-        const JobState& s = states[static_cast<size_t>(id)];
-        true_profiles.push_back(s.job->profile);
-        max_gpus = std::max(max_gpus, s.job->num_gpus);
-        min_gpus = std::min(min_gpus, s.job->num_gpus);
-      }
-
-      // The shared execution model (sim/exec_model) runs the scheduler's
-      // rotation schedule against the ground-truth profiles.
-      const GroupExecution ex = compute_group_execution(
-          true_profiles, group->mode, max_gpus, min_gpus, group->slots,
-          group->offsets, group->planned_period, /*degraded=*/false,
-          exec_params);
-      const std::vector<Duration>& periods = ex.periods;
-      const double gamma_pred = ex.gamma_pred;
-      if (group->mode == GroupMode::kInterleaved && p > 1) {
-        for (JobId id : group->members) {
-          states[static_cast<size_t>(id)].group_gamma = gamma_pred;
-        }
-      }
-
-      const std::vector<MachineId>& machines = running_groups.at(owner).machines;
-      const MachineId home =
-          machines.empty() ? kInvalidMachine : machines.front();
-
-      // An unchanged group (same members, mode, GPUs, every member still
-      // running under the same key) keeps its incarnation; anything else
-      // retires the old accounts and opens a new one.
-      bool group_unchanged = true;
-      for (JobId id : group->members) {
-        const JobState& s = states[static_cast<size_t>(id)];
-        group_unchanged = group_unchanged && s.running && s.key == key;
-      }
-      std::int64_t gid;
-      GroupAccount* acct_ptr;
-      if (group_unchanged) {
-        const JobState& first = states[static_cast<size_t>(group->members[0])];
-        gid = first.group_id;
-        acct_ptr = first.acct;
-        // Attribution follows the placement if the unchanged group moved.
-        if (acct_ptr != nullptr) acct_ptr->machine = home;
-      } else {
-        gid = ++group_seq;
-        GroupAccount acct;
-        acct.machine = home;
-        acct.size = static_cast<int>(p);
-        acct.mode = group->mode;
-        acct.gamma_predicted = gamma_pred;
-        acct.window_start = now;
-        acct.window_end = now;
-        acct.ready_at = now + options.restart_penalty;
-        for (JobId id : group->members) {
-          const JobState& s = states[static_cast<size_t>(id)];
-          for (int r = 0; r < kNumResources; ++r) {
-            const auto ri = static_cast<size_t>(r);
-            if (s.job->profile.stage_time[ri] > 0) acct.active[ri] = true;
-          }
-        }
-        acct_ptr = &group_accounts.emplace(gid, acct).first->second;
-      }
-
-      for (size_t i = 0; i < p; ++i) {
-        const JobId id = group->members[i];
-        JobState& s = states[static_cast<size_t>(id)];
-        const bool unchanged = s.running && s.key == key;
-        const double strag = straggler_factor_for(*s.job, machines);
-        if (!unchanged) {
-          if (s.running) {
-            c_restarts.inc();
-            job_instant(s, "restart");
-            if (decisions != nullptr) {
-              decisions->entry("restart")
-                  .num("t", now)
-                  .integer("job", id)
-                  .str("reason", "regrouped");
-            }
-            end_run_span(s);
-          }
-          s.key = key;
-          s.ready_at = now + options.restart_penalty;
-          s.next_fault =
-              fault_rate > 0
-                  ? now + job_fault_rng[static_cast<size_t>(id)].exponential(
-                              fault_rate)
-                  : kInf;
-        } else if (s.run_since != kNoTime &&
-                   (s.period != periods[i] || s.straggler_factor != strag ||
-                    s.run_machine != home || s.degraded)) {
-          // Same configuration key but drifted execution parameters
-          // (recomputed period, straggler factor, machine move, or a
-          // degraded continuation re-admitted): cycle the run-stage span
-          // so the busy fractions stamped on it stay constant over its
-          // window.
-          end_run_span(s);
-        }
-        if (strag != s.straggler_factor) {
-          // The factor a placement realizes differs from the job's last
-          // known one (first placement onto a straggling machine, or an
-          // unchanged group whose machines drifted between rounds).
-          if (decisions != nullptr) {
-            decisions->entry("straggler")
-                .num("t", now)
-                .integer("job", id)
-                .num("factor", strag);
-          }
-          if (jobtrace != nullptr) jobtrace->straggler(id, now, strag);
-        }
-        s.period = periods[i];
-        s.owner = owner;
-        s.straggler_factor = strag;
-        s.degraded = false;
-        s.group_id = gid;
-        s.acct = acct_ptr;
-        s.running = true;
-        if (s.run_since == kNoTime) begin_run_span(s, home);
-        newly_running.insert(id);
-      }
-    }
-
-    // Jobs not in the admitted plan are preempted back to the queue.
-    for (JobState& s : states) {
-      if (s.running && !newly_running.count(s.job->id)) {
-        job_instant(s, "preempt");
-        c_dec_preempt_displaced.inc();
-        if (decisions != nullptr) {
-          decisions->entry("preempt")
-              .num("t", now)
-              .integer("job", s.job->id)
-              .str("reason", "displaced");
-        }
-        if (jobtrace != nullptr) {
-          jobtrace->preempted(s.job->id, now, cur_round_id);
-        }
-        end_run_span(s);
-        s.running = false;
-        s.period = 0;
-        s.key = GroupKey{};
-        s.owner = kNoOwner;
-        s.straggler_factor = 1.0;
-        s.degraded = false;
-        s.group_id = -1;
-        s.acct = nullptr;
-        ++s.preemptions;
-        dirty_jobs.push_back(s.job->id);
-      }
-    }
-    recompute_utilization();
-    emit_busy_counters();
-  };
-
-  // Main event loop.
-  const Time start_time = now;
-  // Run-lifecycle records (sim_start … sim_end) bracket the run so replay
-  // (src/recovery) can tell runs apart in a shared log and rebuild the
-  // cluster shape without the trace in hand.
-  if (decisions != nullptr) {
-    decisions->entry("sim_start")
-        .num("t", now)
-        .integer("jobs", static_cast<std::int64_t>(n))
-        .integer("machines", options.cluster.num_machines)
-        .integer("gpus", cluster.total_gpus())
-        .num("interval", options.schedule_interval)
-        .num("restart_penalty", options.restart_penalty);
-  }
+  // Main event loop. At one instant: progress, then arrivals, machine
+  // events, job faults, completions, and last the round.
   int stall_rounds = 0;
+  bool dirty = true;
   observe_metrics();
-  dirty = true;
-
-  while (finished_count < n) {
-    // Defensive: if nothing can make progress, force a round.
-    // Next event candidates.
-    Time t_arrival = next_arrival < n
-                         ? trace.jobs[arrival_order[next_arrival]].submit_time
+  while (result.jcts.size() < n) {
+    const Time t_arrival =
+        next_arrival < n ? trace.jobs[arrival_order[next_arrival]].submit_time
                          : kInf;
-    Time t_finish = kInf;
-    for (const JobState& s : states) {
-      if (s.running && !s.finished) {
-        t_finish = std::min(t_finish, projected_finish(s));
-        if (fault_rate > 0) t_finish = std::min(t_finish, s.next_fault);
-      }
-    }
-    Time t_round = dirty ? std::max(now, last_round + options.schedule_interval)
-                         : kInf;
-    const Time t_machine = injector.next_time();
-    const Time t_probation = monitor.next_probation_end();
-    Time t_next = std::min({t_arrival, t_finish, t_round, t_machine,
-                            t_probation});
-
+    const Time t_round =
+        dirty ? std::max(now, last_round + options.schedule_interval) : kInf;
+    Time t_next = std::min({t_arrival, engine.next_finish_time(), t_round,
+                            injector.next_time(),
+                            monitor.next_probation_end()});
     if (t_next == kInf) {
       // No arrivals, no running jobs, nothing dirty — but jobs remain:
       // force a scheduling round (should not happen in practice).
-      if (finished_count < n) {
-        dirty = true;
-        t_next = now;
-      } else {
-        break;
-      }
+      dirty = true;
+      t_next = now;
     }
     if (options.max_time > 0 && t_next > options.max_time) {
       now = options.max_time;
       break;
     }
 
-    advance_to(t_next);
+    engine.progress_to(t_next);
+    now = t_next;
 
-    // Arrivals.
     while (next_arrival < n &&
            trace.jobs[arrival_order[next_arrival]].submit_time <= now) {
-      JobState& s = states[arrival_order[next_arrival]];
-      s.arrived = true;
-      s.measured = profiler.profile(*s.job);
-      job_instant(s, "submit");
-      if (decisions != nullptr) {
-        decisions->entry("arrival")
-            .num("t", now)
-            .integer("job", s.job->id)
-            .integer("gpus", s.job->num_gpus);
-      }
-      if (jobtrace != nullptr) jobtrace->submitted(s.job->id, now);
+      engine.arrive(trace.jobs[arrival_order[next_arrival]], now);
       dirty = true;
-      dirty_jobs.push_back(s.job->id);
       ++next_arrival;
     }
 
@@ -1034,344 +135,60 @@ SimResult run_simulation(const Trace& trace, Scheduler& scheduler,
     // periods of resident jobs.
     if (injector.enabled()) {
       for (const FaultEvent& e : injector.pop_until(now)) {
-        const auto mi = static_cast<size_t>(e.machine);
         switch (e.kind) {
-          case FaultEvent::Kind::kMachineDown: {
+          case FaultEvent::Kind::kMachineDown:
             monitor.on_failure(e.machine, now);
-            c_machine_failures.inc();
-            if (decisions != nullptr) {
-              decisions->entry("machine_down")
-                  .num("t", now)
-                  .integer("machine", static_cast<std::int64_t>(e.machine));
-            }
-            if (machine_straggler_since[mi] != kNoTime && tracer != nullptr) {
-              // A crash closes any open straggler window (the injector
-              // emits kStragglerEnd first, but belt and braces).
-              tracer->complete(to_us(machine_straggler_since[mi]),
-                               to_us(now) - to_us(machine_straggler_since[mi]),
-                               "straggler", "fault",
-                               obs::machine_track(e.machine), 0);
-              machine_straggler_since[mi] = kNoTime;
-            }
-            machine_down_since[mi] = now;
-            machine_slow[mi] = ResourceVector{1.0, 1.0, 1.0, 1.0};
-            for (auto it = running_groups.begin();
-                 it != running_groups.end();) {
-              const bool resident =
-                  std::find(it->second.machines.begin(),
-                            it->second.machines.end(),
-                            e.machine) != it->second.machines.end();
-              if (!resident) {
-                ++it;
-                continue;
-              }
-              for (JobId id : it->second.members) {
-                JobState& s = states[static_cast<size_t>(id)];
-                if (s.running && !s.finished) {
-                  job_instant(s, "evict");
-                  c_dec_preempt_machine.inc();
-                  if (decisions != nullptr) {
-                    decisions->entry("evict")
-                        .num("t", now)
-                        .integer("job", id)
-                        .integer("machine", static_cast<std::int64_t>(e.machine))
-                        .str("reason", "machine_down");
-                  }
-                  if (jobtrace != nullptr) {
-                    jobtrace->faulted(id, now, cur_round_id);
-                  }
-                  end_run_span(s);
-                  s.running = false;
-                  s.period = 0;
-                  s.key = GroupKey{};
-                  s.owner = kNoOwner;
-                  s.next_fault = kInf;
-                  s.straggler_factor = 1.0;
-                  s.degraded = false;
-                  s.group_id = -1;
-                  s.acct = nullptr;
-                  ++s.preemptions;
-                  c_evictions.inc();
-                  dirty_jobs.push_back(id);
-                }
-              }
-              cluster.release(it->first);
-              it = running_groups.erase(it);
-            }
-            cluster.set_machine_available(e.machine, false);
+            engine.machine_down(e.machine);
             dirty = true;
             break;
-          }
-          case FaultEvent::Kind::kMachineUp: {
+          case FaultEvent::Kind::kMachineUp:
             monitor.on_recovery(e.machine, now);
-            if (decisions != nullptr) {
-              decisions->entry("machine_up")
-                  .num("t", now)
-                  .integer("machine", static_cast<std::int64_t>(e.machine));
-            }
-            if (machine_down_since[mi] != kNoTime && tracer != nullptr) {
-              tracer->complete(to_us(machine_down_since[mi]),
-                               to_us(now) - to_us(machine_down_since[mi]),
-                               "down", "fault", obs::machine_track(e.machine),
-                               0);
-            }
-            machine_down_since[mi] = kNoTime;
+            engine.machine_up(e.machine);
             if (monitor.schedulable(e.machine)) {
-              cluster.set_machine_available(e.machine, true);
+              engine.rejoin(e.machine);
               dirty = true;
             }
             break;
-          }
-          case FaultEvent::Kind::kStragglerStart: {
+          case FaultEvent::Kind::kStragglerStart:
             monitor.on_straggler(e.machine, true);
-            machine_straggler_since[mi] = now;
-            machine_slow[mi] = e.slowdown;
-            refresh_straggler_factors();
+            engine.straggler_start(e.machine, e.slowdown);
             break;
-          }
-          case FaultEvent::Kind::kStragglerEnd: {
+          case FaultEvent::Kind::kStragglerEnd:
             monitor.on_straggler(e.machine, false);
-            if (machine_straggler_since[mi] != kNoTime && tracer != nullptr) {
-              const ResourceVector& slow = machine_slow[mi];
-              tracer->complete(
-                  to_us(machine_straggler_since[mi]),
-                  to_us(now) - to_us(machine_straggler_since[mi]), "straggler",
-                  "fault", obs::machine_track(e.machine), 0,
-                  obs::TraceArgs("storage", slow[0], "cpu", slow[1], "gpu",
-                                 slow[2], "network", slow[3]));
-            }
-            machine_straggler_since[mi] = kNoTime;
-            machine_slow[mi] = ResourceVector{1.0, 1.0, 1.0, 1.0};
-            refresh_straggler_factors();
+            engine.straggler_end(e.machine);
             break;
-          }
         }
       }
       // Machines whose probation expired rejoin the pool.
       for (MachineId m : monitor.end_probation(now)) {
-        cluster.set_machine_available(m, true);
+        engine.rejoin(m);
         dirty = true;
       }
     }
 
-    // Faults: the executor reports the failure and the job goes back to
-    // the queue (progress checkpointed at iteration granularity). The
-    // surviving members of the group continue immediately as a re-planned
-    // degraded group.
-    if (fault_rate > 0) {
-      for (JobState& s : states) {
-        if (s.running && !s.finished && now >= s.next_fault &&
-            s.done_iterations <
-                static_cast<double>(s.job->iterations) - kIterEps) {
-          const OwnerId owner = s.owner;
-          const JobId dead = s.job->id;
-          job_instant(s, "fault");
-          if (decisions != nullptr) {
-            decisions->entry("fault")
-                .num("t", now)
-                .integer("job", dead)
-                .str("reason", "job_fault");
-          }
-          if (jobtrace != nullptr) jobtrace->faulted(dead, now, cur_round_id);
-          end_run_span(s);
-          s.running = false;
-          s.period = 0;
-          s.key = GroupKey{};
-          s.owner = kNoOwner;
-          s.next_fault = kInf;
-          s.straggler_factor = 1.0;
-          s.degraded = false;
-          s.group_id = -1;
-          s.acct = nullptr;
-          c_faults.inc();
-          dirty = true;
-          dirty_jobs.push_back(dead);
-          if (owner != kNoOwner) {
-            auto it = running_groups.find(owner);
-            if (it != running_groups.end()) {
-              auto& members = it->second.members;
-              members.erase(std::remove(members.begin(), members.end(), dead),
-                            members.end());
-              if (members.empty()) {
-                cluster.release(owner);
-                running_groups.erase(it);
-              } else {
-                replan_degraded(it->second);
-              }
-            }
-          }
-        }
-      }
+    if (engine.fail_due_jobs()) dirty = true;
+    for (const JctBreakdown& b : engine.complete_finished()) {
+      result.jcts.push_back(b.jct_seconds);
+      result.jct_breakdown.push_back(b);
+      dirty = true;
     }
+    if (dirty) engine.trace_busy_counters();
 
-    // Completions.
-    for (JobState& s : states) {
-      if (!s.finished && s.running &&
-          s.done_iterations >=
-              static_cast<double>(s.job->iterations) - kIterEps) {
-        job_instant(s, "finish");
-        end_run_span(s);
-        s.finished = true;
-        s.running = false;
-        s.period = 0;
-        s.group_id = -1;
-        s.acct = nullptr;
-        // Leave the group registry so a later machine crash or partner
-        // fault no longer involves this job.
-        if (s.owner != kNoOwner) {
-          auto it = running_groups.find(s.owner);
-          if (it != running_groups.end()) {
-            auto& members = it->second.members;
-            members.erase(
-                std::remove(members.begin(), members.end(), s.job->id),
-                members.end());
-            if (members.empty()) running_groups.erase(it);
-          }
-          s.owner = kNoOwner;
-        }
-        ++finished_count;
-        result.jcts.push_back(now - s.job->submit_time);
-        JctBreakdown breakdown;
-        breakdown.job = s.job->id;
-        breakdown.jct_seconds = now - s.job->submit_time;
-        breakdown.restart_overhead_seconds = s.restart_overhead;
-        breakdown.running_seconds = s.ran_wall - s.restart_overhead;
-        breakdown.queueing_seconds =
-            std::max(breakdown.jct_seconds - s.ran_wall, 0.0);
-        breakdown.preemptions = s.preemptions;
-        s_job_queueing.observe(breakdown.queueing_seconds);
-        s_job_running.observe(breakdown.running_seconds);
-        s_job_restart_overhead.observe(breakdown.restart_overhead_seconds);
-        s_job_preemptions.observe(static_cast<double>(breakdown.preemptions));
-        if (decisions != nullptr) {
-          decisions->entry("finish")
-              .num("t", now)
-              .integer("job", s.job->id)
-              .num("jct", breakdown.jct_seconds)
-              .num("queueing", breakdown.queueing_seconds)
-              .num("running", breakdown.running_seconds)
-              .num("restart_overhead", breakdown.restart_overhead_seconds)
-              .integer("preemptions", breakdown.preemptions);
-        }
-        if (jobtrace != nullptr) {
-          jobtrace->finished(s.job->id, now, breakdown.jct_seconds);
-        }
-        result.jct_breakdown.push_back(breakdown);
-        dirty = true;
-        dirty_jobs.push_back(s.job->id);
-      }
-    }
-    if (dirty) {
-      recompute_utilization();
-      emit_busy_counters();
-    }
-
-    // Scheduling round.
     if (dirty && now >= last_round + options.schedule_interval - 1e-9) {
-      std::vector<JobView> queue;
-      for (const JobState& s : states) {
-        if (!s.arrived || s.finished) continue;
-        JobView v;
-        v.id = s.job->id;
-        v.num_gpus = s.job->num_gpus;
-        v.submit_time = s.job->submit_time;
-        v.measured = s.measured;
-        v.attained_service = s.attained_gpu_seconds;
-        v.age = now - s.job->submit_time;
-        v.remaining_time = options.durations_known ? s.remaining_solo() : 0.0;
-        v.running = s.running;
-        queue.push_back(std::move(v));
-      }
-      SchedulerContext ctx;
-      ctx.now = now;
-      ctx.total_gpus = cluster.total_gpus();
-      ctx.gpus_per_machine = options.cluster.gpus_per_machine;
-      ctx.durations_known = options.durations_known;
-      // Failed and blacklisted machines are out of the allocatable pool.
-      ctx.available_gpus = cluster.available_gpus();
-      // The lifecycle delta since the previous round. A job can appear
-      // more than once (e.g. evicted then re-faulted) — dedupe so the
-      // count means "jobs changed", and sort so the set is deterministic
-      // for the round_start log field.
-      std::sort(dirty_jobs.begin(), dirty_jobs.end());
-      dirty_jobs.erase(std::unique(dirty_jobs.begin(), dirty_jobs.end()),
-                       dirty_jobs.end());
-      ctx.dirty_jobs = &dirty_jobs;
-
-      const auto wall_start = std::chrono::steady_clock::now();
-      const auto plan = scheduler.schedule(queue, ctx);
-      const auto wall_end = std::chrono::steady_clock::now();
-      result.scheduler_wall_ms +=
-          std::chrono::duration<double, std::milli>(wall_end - wall_start)
-              .count();
-      ++result.scheduler_invocations;
-
-      // The round id cross-links into the decision log (and equals the
-      // scheduler-invocation ordinal when no log is wired, so trace and
-      // jobtrace are byte-identical either way for the same run).
-      cur_round_id = decisions != nullptr ? decisions->current_round()
-                                          : result.scheduler_invocations;
-      if (tracer != nullptr) {
-        tracer->instant_at(
-            to_us(now), "round", "sched", obs::kSchedulerTrack, 0,
-            obs::TraceArgs("queue", static_cast<double>(queue.size()),
-                           "groups", static_cast<double>(plan.size()), "round",
-                           static_cast<double>(cur_round_id)));
-      }
-
-      // Clear before apply_plan: the displacements it records belong to
-      // the *next* round's delta.
-      dirty_jobs.clear();
-      apply_plan(plan);
+      engine.run_round();
       last_round = now;
-
-      // Post-round wait verdicts: classify every job the plan left
-      // waiting, identically in the jobtrace events and the decision
-      // log's "wait" record (ids ascending — states is id-ordered).
-      if (jobtrace != nullptr || decisions != nullptr) {
-        const std::vector<JobId>& deferred = scheduler.last_deferred();
-        const int capacity = ctx.capacity();
-        std::vector<std::int64_t> wait_ids;
-        std::vector<std::string> wait_buckets;
-        for (const JobState& s : states) {
-          if (!s.arrived || s.finished || s.running) continue;
-          const bool was_deferred = std::binary_search(
-              deferred.begin(), deferred.end(), s.job->id);
-          const obs::SpanKind bucket =
-              obs::classify_wait(was_deferred, s.job->num_gpus, capacity);
-          if (jobtrace != nullptr) {
-            jobtrace->wait_verdict(s.job->id, now, cur_round_id, bucket);
-          }
-          if (decisions != nullptr) {
-            wait_ids.push_back(s.job->id);
-            wait_buckets.emplace_back(obs::span_kind_name(bucket));
-          }
-        }
-        if (decisions != nullptr && !wait_ids.empty()) {
-          decisions->entry("wait")
-              .num("t", now)
-              .ids("job", wait_ids)
-              .strs("bucket", wait_buckets);
-        }
-      }
       // Keep rounds firing while jobs wait: time-varying priorities
       // (attained service, fairness deficits) must be able to preempt.
-      bool any_waiting = false;
-      bool any_running = false;
-      for (const JobState& s : states) {
-        if (s.arrived && !s.finished) {
-          any_waiting = any_waiting || !s.running;
-          any_running = any_running || s.running;
-        }
-      }
+      const bool any_waiting = engine.active_jobs() > engine.running_jobs();
+      const bool any_running = engine.running_jobs() > 0;
       dirty = any_waiting;
       // A queue that cannot be placed is only a scheduler bug when the
       // whole pool is up; with machines out, jobs legitimately wait for
       // repair or probation to end.
       if (any_waiting && !any_running && next_arrival >= n &&
-          cluster.available_machines() == cluster.num_machines()) {
-        ++stall_rounds;
-        if (stall_rounds >= 3) {
+          engine.cluster().available_machines() ==
+              engine.cluster().num_machines()) {
+        if (++stall_rounds >= 3) {
           MURI_LOG(kError) << scheduler.name()
                            << ": scheduler cannot place remaining jobs; "
                               "aborting simulation";
@@ -1387,38 +204,17 @@ SimResult run_simulation(const Trace& trace, Scheduler& scheduler,
 
   // Close trace spans still open at the stop (max_time cutoffs, aborted
   // runs, machines that never came back).
-  if (tracer != nullptr) {
-    for (JobState& s : states) {
-      end_run_span(s);
-    }
-    for (size_t m = 0; m < machine_down_since.size(); ++m) {
-      if (machine_down_since[m] != kNoTime) {
-        tracer->complete(to_us(machine_down_since[m]),
-                         to_us(now) - to_us(machine_down_since[m]), "down",
-                         "fault", obs::machine_track(static_cast<int>(m)), 0);
-      }
-      if (machine_straggler_since[m] != kNoTime) {
-        tracer->complete(to_us(machine_straggler_since[m]),
-                         to_us(now) - to_us(machine_straggler_since[m]),
-                         "straggler", "fault",
-                         obs::machine_track(static_cast<int>(m)), 0);
-      }
-    }
-  }
+  engine.close_trace(now);
 
-  // Finalize metrics. The fault counters come back out of the registry as
-  // per-run deltas (the registry may be shared across runs).
-  result.faults = std::llround(c_faults.value() - base_faults);
-  result.restarts = std::llround(c_restarts.value() - base_restarts);
-  result.machine_failures =
-      std::llround(c_machine_failures.value() - base_machine_failures);
-  result.evictions = std::llround(c_evictions.value() - base_evictions);
-  result.straggler_seconds =
-      c_straggler_seconds.value() - base_straggler_seconds;
-  result.degraded_group_seconds =
-      c_degraded_seconds.value() - base_degraded_seconds;
-  result.finished_jobs = static_cast<int>(finished_count);
-  result.unfinished_jobs = static_cast<int>(n - finished_count);
+  const EngineCounts counts = engine.counts();
+  result.faults = counts.faults;
+  result.restarts = counts.restarts;
+  result.machine_failures = counts.machine_failures;
+  result.evictions = counts.evictions;
+  result.straggler_seconds = counts.straggler_seconds;
+  result.degraded_group_seconds = counts.degraded_seconds;
+  result.finished_jobs = static_cast<int>(result.jcts.size());
+  result.unfinished_jobs = static_cast<int>(n - result.jcts.size());
   result.avg_jct = mean(result.jcts);
   result.p99_jct = percentile(result.jcts, 99.0);
   result.makespan = now - start_time;
@@ -1431,61 +227,28 @@ SimResult run_simulation(const Trace& trace, Scheduler& scheduler,
   }
   result.avg_queue_length = queue_avg.finalize(now);
   result.avg_blocking_index = blocking_avg.finalize(now);
-  for (int j = 0; j < kNumResources; ++j) {
-    result.avg_utilization[static_cast<size_t>(j)] =
-        util_avg[static_cast<size_t>(j)].finalize(now);
+  for (size_t r = 0; r < static_cast<size_t>(kNumResources); ++r) {
+    result.avg_utilization[r] = util_avg[r].finalize(now);
   }
   if (options.record_series) {
     result.queue_series = queue_series.points();
     result.blocking_series = blocking_series.points();
-    for (int j = 0; j < kNumResources; ++j) {
-      result.util_series[static_cast<size_t>(j)] =
-          util_series[static_cast<size_t>(j)].points();
+    for (size_t r = 0; r < static_cast<size_t>(kNumResources); ++r) {
+      result.util_series[r] = util_series[r].points();
     }
   }
   result.avg_running_jobs = running_avg.finalize(now);
   result.avg_group_width = width_avg.finalize(now);
   result.avg_normalized_rate = rate_avg.finalize(now);
   result.avg_group_gamma_predicted = gamma_avg.finalize(now);
-
-  // Realized γ per retired multi-member incarnation: busy seconds over the
-  // active window (wall minus the shared restart stall), averaged over the
-  // resources the group uses — then window-weighted across incarnations,
-  // mirroring the time-weighted predicted average above.
-  result.resource_busy_seconds = busy_total;
-  {
-    double weight = 0, realized_sum = 0, error_sum = 0;
-    for (const auto& [gid, acct] : group_accounts) {
-      if (acct.size < 2) continue;
-      const double wall = acct.window_end - acct.window_start;
-      const double stall =
-          std::clamp(acct.ready_at - acct.window_start, 0.0, wall);
-      const double active_window = wall - stall;
-      if (active_window <= 0) continue;
-      int used = 0;
-      double fraction_sum = 0;
-      for (int r = 0; r < kNumResources; ++r) {
-        const auto ri = static_cast<size_t>(r);
-        if (!acct.active[ri]) continue;
-        ++used;
-        fraction_sum += std::min(acct.busy[ri] / active_window, 1.0);
-      }
-      if (used == 0) continue;
-      const double realized = fraction_sum / used;
-      s_gamma_realized.observe(realized);
-      s_gamma_error.observe(realized - acct.gamma_predicted);
-      realized_sum += realized * active_window;
-      error_sum += (realized - acct.gamma_predicted) * active_window;
-      weight += active_window;
-    }
-    if (weight > 0) {
-      result.avg_group_gamma_realized = realized_sum / weight;
-      result.avg_group_gamma_error = error_sum / weight;
-    }
-  }
-
-  result.profiler_sessions = profiler.sessions();
-  result.profiling_time = profiler.profiling_time();
+  result.resource_busy_seconds = engine.resource_busy_seconds();
+  const GammaAudit gamma = engine.audit_group_gamma();
+  result.avg_group_gamma_realized = gamma.realized;
+  result.avg_group_gamma_error = gamma.error;
+  result.scheduler_invocations = engine.rounds_run();
+  result.scheduler_wall_ms = engine.scheduler_wall_ms();
+  result.profiler_sessions = engine.profiler().sessions();
+  result.profiling_time = engine.profiler().profiling_time();
   return result;
 }
 

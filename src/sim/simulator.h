@@ -2,11 +2,17 @@
 //
 // The paper validates its simulator against the 64-GPU testbed at <3%
 // metric error and uses it for all large-trace results; this is our
-// testbed substitute (DESIGN.md §2). The engine advances between events
-// (arrival, completion, scheduling tick), invokes the scheduler on rounds
-// where the queue changed, places the returned groups on the cluster in
-// plan order, and runs each group under the execution model of DESIGN.md
-// §5:
+// testbed substitute (DESIGN.md §2). run_simulation is an event driver
+// over the lifecycle engine (sim/engine.h) that the daemon also runs on:
+// it feeds the engine the trace's arrivals and the fault injector's
+// machine events, fires a scheduling round on the round interval whenever
+// the queue changed (and keeps rounds firing while jobs wait), stops on
+// max_time or a scheduler that cannot place the remaining jobs, and folds
+// the engine's samples into the time-weighted averages of SimResult.
+//
+// The engine places the returned groups on the cluster in plan order and
+// runs each group under the execution model of DESIGN.md §5
+// (sim/exec_model.h):
 //
 //  - exclusive job:      per-iteration wall time = Σ_r t^r;
 //  - interleaved group:  max-min fair fluid rates (sim/fluid.h) with
@@ -27,124 +33,36 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "fault/fault.h"
 #include "fault/monitor.h"
 #include "job/trace.h"
-#include "profiler/profiler.h"
 #include "scheduler/scheduler.h"
-
-namespace muri::obs {
-class DecisionLog;
-class JobTraceLog;
-class MetricsRegistry;
-class Tracer;
-}  // namespace muri::obs
+#include "sim/engine.h"
 
 namespace muri {
 
-struct SimOptions {
-  ClusterSpec cluster{};
+// The engine's lifecycle knobs (sim/engine.h: cluster, restart penalty,
+// the execution model, job faults, profiler, durations, and the tracer /
+// metrics / decisions / jobtrace hooks) plus the simulator's event-source
+// knobs below.
+struct SimOptions : EngineOptions {
   // Scheduling round interval (§5 uses six minutes).
   Duration schedule_interval = 360;
-  // Cost of (re)starting a job whose group or admission changed.
-  Duration restart_penalty = 30;
-  // Interleaving overhead per extra group member (residual contention;
-  // §6.2 explains why grouped speedups fall short of ideal). Calibrated so
-  // testbed-scale runs land near the paper's reported speedups while the
-  // Table 2 four-job group stays in the ~2-3× total-normalized band.
-  double alpha = 0.02;
-  // Schedule-quality penalty: a group whose best achievable interleaving
-  // efficiency γ (Eq. 4) is low cannot pipeline its stages cleanly, so its
-  // demands inflate by (1 + gamma_penalty·(1-γ)). This is the execution-
-  // side counterpart of the paper's claim that γ predicts interleaving
-  // quality — and what makes Blossom's γ-maximizing matching actually pay
-  // off at run time (Fig. 11).
-  double gamma_penalty = 0.20;
-  // Interference inflation for uncoordinated (AntMan-style) sharing; the
-  // §2.1 example (two identical jobs run at ~half speed) corresponds to
-  // x = 1/(2·(1+β)/2) ≈ 0.5 at β ≈ 0.4.
-  double beta = 0.4;
-  // Extra slowdown per log2(GPU-count ratio) for mixed-size groups (only
-  // reachable with Muri bucketing disabled).
-  double cascade_penalty = 0.25;
-  // Per-resource contention inflation (see sim/fluid.h): same-bottleneck
-  // co-location gains almost nothing (§2.1, Fig. 13's one-type case).
-  double contention_penalty = 0.10;
-  double significant_duty = 0.25;
-  // Barrier waste per unit of relative gap between the scheduler's planned
-  // rotation period and the true one — how inaccurate profiles hurt
-  // (Fig. 14).
-  double misplan_penalty = 0.5;
-  // Fault injection (§3/§5: the executor reports faults and the job is
-  // pushed back to the queue). Mean time between failures per *running
-  // job* in hours; 0 disables. Progress is checkpointed at iteration
-  // granularity, so a fault costs the requeue wait plus the restart
-  // penalty, not lost work. Each job draws its fault times from its own
-  // RNG substream of fault_seed, so editing the trace never reshuffles
-  // other jobs' fault times.
-  double mtbf_hours = 0;
-  std::uint64_t fault_seed = 1337;
   // Machine-level fault domains: crash/recover (per-machine exponential
   // MTBF/MTTR) and transient straggler windows (per-resource slowdown).
-  // A crashed machine evicts and requeues every resident job; surviving
-  // members of an interleaved group that lost a member to a *job* fault
-  // continue immediately as a re-planned degraded group. All processes
-  // default off (zero rates): behavior is then identical to a fault-free
-  // run.
+  // A crashed machine evicts and requeues every resident job. All
+  // processes default off (zero rates): behavior is then identical to a
+  // fault-free run.
   FaultInjectorOptions machine_faults{};
   // Worker-monitor policy: blacklist threshold and recovery probation.
   WorkerMonitorOptions monitor{};
-  ResourceProfiler::Options profiler{};
-  // Whether JobView::remaining_time is populated (Muri-S/SRTF/SRSF runs).
-  bool durations_known = false;
   // Record time series (queue length, blocking index, utilization).
   bool record_series = false;
   // Safety stop; 0 disables. Jobs unfinished at the stop are dropped from
   // JCT statistics and reported in `unfinished_jobs`.
   Time max_time = 0;
-  // Observability hooks (src/obs), both optional. `tracer` is driven in
-  // the simulated-time clock domain (the run exports a Chrome trace with
-  // per-machine tracks: job run spans, preemptions, fault windows,
-  // scheduling rounds); it observes the simulation without perturbing it,
-  // so results with and without tracing are bit-identical. The fault
-  // counters in SimResult are accumulated through `metrics` (or a private
-  // registry when null), making them scrapeable mid-run; SimResult reads
-  // the per-run deltas back out at finalize.
-  obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  // Decision provenance sink (src/obs/provenance): the simulator records
-  // the outcome side of every plan — placements with machines chosen,
-  // skipped groups with cause, preempt/restart/evict/fault events, and
-  // degraded-group continuations — stamped with the scheduler's round id.
-  // The same sink is also attached to the scheduler (set_decision_log) by
-  // run_simulation, so one log carries both halves of a round's story.
-  // Null (the default) disables all of it; SimResult is bit-identical
-  // either way.
-  obs::DecisionLog* decisions = nullptr;
-  // Per-job causal span recorder (src/obs/jobtrace): submit → round
-  // verdicts → placement/restart → preempt/evict/fault/degraded/straggler
-  // → finish, attributed into wait buckets that sum to the realized JCT.
-  // Null (the default) disables it; attaching never perturbs SimResult,
-  // the decision log, or the trace — the same obs bit-identity contract.
-  obs::JobTraceLog* jobtrace = nullptr;
-};
-
-// Per-job completion-time decomposition (the "JCT breakdown" of the
-// utilization analytics): JCT = queueing + running + restart overhead.
-// Queueing is time arrived-but-unplaced, running is placed-and-progressing,
-// restart overhead is placed-but-stalled inside a restart penalty window.
-struct JctBreakdown {
-  JobId job = kInvalidJob;
-  double jct_seconds = 0;
-  double queueing_seconds = 0;
-  double running_seconds = 0;
-  double restart_overhead_seconds = 0;
-  // Times the job lost a placement it had (preempt + machine eviction);
-  // job-level faults are counted separately in SimResult::faults.
-  int preemptions = 0;
 };
 
 struct SimResult {

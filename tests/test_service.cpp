@@ -365,6 +365,9 @@ TEST(ServiceDaemon, ResumesFromACrashImageOfALiveWal) {
     MuriDaemon daemon(std::move(options));
     std::string error;
     ASSERT_TRUE(daemon.start(&error)) << error;
+    // Submitted after the clock's origin, so the JCT and the engine's
+    // clock start at different instants.
+    daemon.step(100);
     id = submit(daemon, "resnet18", 1, 100000);
     daemon.step(0);
     daemon.step(600);
@@ -401,7 +404,24 @@ TEST(ServiceDaemon, ResumesFromACrashImageOfALiveWal) {
   EXPECT_TRUE(
       obs::validate_decision_log(daemon.decisions_jsonl(), &validate_error))
       << validate_error;
+  EXPECT_EQ(run_to_completion(daemon, id, 600), "finished");
   daemon.stop();
+
+  // Every finish record in the resumed WAL splits its JCT, which counts
+  // from the original submit, into queueing + running + restart overhead.
+  const recovery::WalImage wal_image = recovery::scan_wal(slurp(image));
+  EXPECT_FALSE(wal_image.torn) << wal_image.torn_reason;
+  int finishes = 0;
+  for (const recovery::WalImage::Frame& frame : wal_image.frames) {
+    const auto rec = parse(std::string(wal_image.payload(frame)));
+    if (rec.at("type").string != "finish") continue;
+    ++finishes;
+    const double jct = rec.at("jct").number;
+    const double sum = rec.at("queueing").number + rec.at("running").number +
+                       rec.at("restart_overhead").number;
+    EXPECT_NEAR(sum, jct, 1e-9 * jct) << wal_image.payload(frame);
+  }
+  EXPECT_EQ(finishes, 1);
 }
 
 TEST(ServiceDaemon, ResumesFromATornTailOfALiveWal) {

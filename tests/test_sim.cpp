@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "obs/provenance.h"
 #include "scheduler/baselines.h"
 #include "scheduler/muri.h"
 #include "sim/simulator.h"
@@ -239,6 +240,65 @@ TEST(Sim, SchedulerAccountingPopulated) {
   EXPECT_GT(r.scheduler_invocations, 0);
   EXPECT_GE(r.scheduler_wall_ms, 0.0);
   EXPECT_GT(r.profiler_sessions, 0);
+}
+
+// Plans every queued job as its own exclusive group, in id order — a
+// fixed plan, so a test can pin which group placement has to skip.
+class EachJobAloneScheduler final : public Scheduler {
+ public:
+  std::string name() const override { return "each-job-alone"; }
+  std::vector<PlannedGroup> schedule(const std::vector<JobView>& queue,
+                                     const SchedulerContext&) override {
+    if (decision_log() != nullptr) decision_log()->begin_round();
+    std::vector<PlannedGroup> plan;
+    for (const JobView& v : queue) {
+      PlannedGroup g;
+      g.members = {v.id};
+      g.num_gpus = v.num_gpus;
+      plan.push_back(g);
+    }
+    return plan;
+  }
+};
+
+TEST(Sim, NoCapacitySkipReportsTheGpusStillFree) {
+  // 2 machines x 4 GPUs. Job 0 takes machine 0, job 1 two GPUs of machine
+  // 1, so job 2 (4 GPUs, consolidated on one machine) cannot fit: its skip
+  // must report the 2 GPUs still free, not the 8-GPU pool.
+  Trace t;
+  t.name = "no-capacity";
+  t.jobs.push_back(make_job(0, ModelKind::kResNet18, 4, 0, 600));
+  t.jobs.push_back(make_job(1, ModelKind::kResNet18, 2, 0, 600));
+  t.jobs.push_back(make_job(2, ModelKind::kResNet18, 4, 0, 600));
+  SimOptions opt = small_cluster(2, 4);
+  obs::DecisionLog log;
+  opt.decisions = &log;
+  EachJobAloneScheduler sched;
+  const SimResult r = run_simulation(t, sched, opt);
+  EXPECT_EQ(r.finished_jobs, 3);
+
+  std::vector<obs::DecisionRecord> records;
+  ASSERT_TRUE(obs::parse_decision_log(log.jsonl(), records));
+  int skips = 0;
+  double round = -1;
+  double placed_gpus = 0;
+  for (const obs::DecisionRecord& rec : records) {
+    const std::string& type = rec.value.at("type").string;
+    if (rec.value.at("round").number != round) {
+      round = rec.value.at("round").number;
+      placed_gpus = 0;
+    }
+    if (type == "placement") placed_gpus += rec.value.at("gpus").number;
+    if (type != "placement_skip" ||
+        rec.value.at("reason").string != "no_capacity") {
+      continue;
+    }
+    ++skips;
+    EXPECT_EQ(rec.value.at("available_gpus").number, 8 - placed_gpus)
+        << rec.raw;
+  }
+  // The first round skips job 2 after placing jobs 0 and 1.
+  EXPECT_GE(skips, 1);
 }
 
 TEST(Sim, DeterministicRepeatability) {

@@ -370,6 +370,41 @@ TEST(WalAdversarial, JobWithoutADurableSubmitIsNotRestored) {
   std::remove(path.c_str());
 }
 
+TEST(WalAdversarial, CrcValidSubmitWithAnInvalidJobIdFailsResume) {
+  // Job ids index the engine's dense job table, so a CRC-valid job_submit
+  // carrying a negative, fractional or huge id must fail resume with a
+  // message instead of sizing the table from it.
+  for (const char* bad : {"-5", "2.5", "1e15"}) {
+    auto frames = fixture_frame_list();
+    bool replaced = false;
+    for (auto& [kind, payload] : frames) {
+      obs::JsonValue rec;
+      ASSERT_TRUE(obs::parse_json(payload, rec));
+      if (rec.at("type").string != "job_submit") continue;
+      const std::string key =
+          "\"job\":" +
+          std::to_string(static_cast<std::int64_t>(rec.at("job").number));
+      const std::size_t at = payload.find(key);
+      ASSERT_NE(at, std::string::npos) << payload;
+      payload.replace(at, key.size(), std::string("\"job\":") + bad);
+      replaced = true;
+      break;
+    }
+    ASSERT_TRUE(replaced);
+    const std::string path = temp_path("bad_job_id.wal");
+    const std::string bytes = rebuild(frames);
+    spit(path, bytes);
+    service::DaemonOptions options = daemon_options(path);
+    options.resume = true;
+    service::MuriDaemon daemon(options);
+    std::string error;
+    EXPECT_FALSE(daemon.start(&error)) << bad;
+    EXPECT_NE(error.find("invalid job id"), std::string::npos) << error;
+    EXPECT_EQ(slurp(path), bytes) << "failed resume modified the WAL";
+    std::remove(path.c_str());
+  }
+}
+
 TEST(WalAdversarial, HugeLengthHeadersStopTheScanWithoutAllocating) {
   const std::string& clean = fixture_wal();
   const FixtureFrames& frames = fixture_frames();
