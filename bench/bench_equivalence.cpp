@@ -16,8 +16,10 @@
 //    discipline as bench_scalability's determinism gate — and the
 //    attached DecisionLogs must be byte-equal at the end.
 //
-//   bench_equivalence --seeds=13,99 --threads=1,4 --topk=0,8 \
+//   bench_equivalence --seeds=13,99 --threads=1,4 --topk=0,8
 //       [--churn=0.05] [--jobs=200] [--rounds=16] [--sim-jobs=160]
+//
+// (one command line, wrapped here)
 //
 // Exits 0 when every combination matches, 1 on the first divergence
 // (all combinations are still run and reported).

@@ -22,6 +22,9 @@ class Parser {
       : text_(text), shallow_(shallow) {}
 
   bool parse(JsonValue& out, std::string* error) {
+    // A reused value must not keep members of the previous document:
+    // parse_object's emplace leaves an existing key alone.
+    out = JsonValue{};
     skip_ws();
     if (!parse_value(&out)) {
       if (error != nullptr) {

@@ -35,8 +35,10 @@ struct JsonValue {
   const JsonValue& at(const std::string& key) const;
 };
 
-// Parses `text` into `out`. On failure returns false and, if `error` is
-// non-null, stores a message with the byte offset of the problem.
+// Parses `text` into `out`, replacing whatever `out` held, so one value
+// can be reused across documents. On failure returns false and, if
+// `error` is non-null, stores a message with the byte offset of the
+// problem.
 bool parse_json(std::string_view text, JsonValue& out,
                 std::string* error = nullptr);
 

@@ -104,6 +104,7 @@ void Summary::observe(double v) {
         kept.push_back(samples_[i]);
       }
       samples_ = std::move(kept);
+      sorted_.clear();
       stride_ *= 2;
     }
     if (seen_ % static_cast<std::int64_t>(stride_) == 0) {
@@ -128,26 +129,29 @@ double Summary::mean() const {
   return seen_ > 0 ? sum_ / static_cast<double>(seen_) : 0.0;
 }
 
+const std::vector<double>& Summary::sorted_locked() const {
+  // The same multiset as sorting a copy of samples_, so every quantile
+  // is bit-identical to muri::percentile over it.
+  const auto old_end = static_cast<std::ptrdiff_t>(sorted_.size());
+  sorted_.insert(sorted_.end(), samples_.begin() + old_end, samples_.end());
+  std::sort(sorted_.begin() + old_end, sorted_.end());
+  std::inplace_merge(sorted_.begin(), sorted_.begin() + old_end,
+                     sorted_.end());
+  return sorted_;
+}
+
 double Summary::percentile(double p) const {
-  std::vector<double> samples;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    samples = samples_;
-  }
-  return muri::percentile(std::move(samples), p);
+  std::lock_guard<std::mutex> lock(mu_);
+  return muri::percentile_sorted(sorted_locked(), p);
 }
 
 std::vector<double> Summary::percentiles(
     std::initializer_list<double> ps) const {
-  std::vector<double> samples;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    samples = samples_;
-  }
-  std::sort(samples.begin(), samples.end());
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::vector<double>& sorted = sorted_locked();
   std::vector<double> out;
   out.reserve(ps.size());
-  for (const double p : ps) out.push_back(muri::percentile_sorted(samples, p));
+  for (const double p : ps) out.push_back(muri::percentile_sorted(sorted, p));
   return out;
 }
 

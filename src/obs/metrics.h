@@ -95,7 +95,9 @@ class Histogram {
 
 // Raw-sample summary with exact quantiles via common/stats.h. Bounded:
 // past `capacity` samples it keeps every k-th one (k doubling), like
-// SeriesRecorder, so long runs cannot grow it without bound.
+// SeriesRecorder, so long runs cannot grow it without bound. A quantile
+// read costs O(samples kept since the last read): it sorts only those and
+// merges them into a sorted copy kept across reads.
 class Summary {
  public:
   explicit Summary(std::size_t capacity = 4096);
@@ -107,16 +109,21 @@ class Summary {
   double mean() const;
   // p in [0, 100], matching common/stats.h percentile().
   double percentile(double p) const;
-  // percentile() at each of `ps`, from one sorted copy of the samples.
+  // percentile() at each of `ps`, from one read of the sorted samples.
   std::vector<double> percentiles(std::initializer_list<double> ps) const;
 
  private:
+  // Brings sorted_ up to date with samples_ and returns it. Needs mu_.
+  const std::vector<double>& sorted_locked() const;
+
   mutable std::mutex mu_;
   std::size_t capacity_;
   std::size_t stride_ = 1;
   std::int64_t seen_ = 0;
   double sum_ = 0;
   std::vector<double> samples_;
+  // samples_[0, sorted_.size()), sorted ascending. Decimation empties it.
+  mutable std::vector<double> sorted_;
 };
 
 class MetricsRegistry {

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <unordered_map>
 
 namespace muri::obs {
 
@@ -37,6 +38,30 @@ void append_escaped(std::string& out, std::string_view s) {
 }
 
 }  // namespace
+
+// DecisionLog::explain_job_json's index. Its records are the non-blank
+// '\n'-separated pieces of the committed lines, which are exactly the
+// records parse_decision_log(jsonl()) would see; only those that mention
+// a job are kept.
+struct DecisionLog::ExplainIndex {
+  struct Record {
+    std::int64_t round;
+    std::size_t line;   // position in lines_
+    std::size_t begin;  // the record's bytes within that line
+    std::size_t size;
+  };
+  std::size_t lines = 0;  // lines_[0, lines) are indexed
+  bool broken = false;    // some line failed to parse
+  std::vector<Record> records;
+  // Job id -> positions in `records`, ascending.
+  std::unordered_map<std::int64_t, std::vector<std::size_t>> by_job;
+  JsonValue value;                // parse scratch
+  std::vector<std::int64_t> ids;  // mentioned_jobs scratch
+};
+
+DecisionLog::DecisionLog() : index_(std::make_unique<ExplainIndex>()) {}
+
+DecisionLog::~DecisionLog() = default;
 
 DecisionLog::Entry::~Entry() {
   if (log_ == nullptr) return;
@@ -183,6 +208,7 @@ bool DecisionLog::write_jsonl(const std::string& path) const {
 void DecisionLog::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   lines_.clear();
+  *index_ = ExplainIndex{};
   round_.store(0, std::memory_order_relaxed);
 }
 
@@ -481,25 +507,69 @@ bool int_array_contains(const JsonValue& arr, std::int64_t job) {
   return false;
 }
 
-// Does this record mention `job`? Checks every field that carries job ids:
-// scalar "job", list "jobs", priority's parallel "job" array, and
-// match_round's nested "nodes" member lists.
-bool mentions_job(const JsonValue& rec, std::int64_t job) {
+// Every job id a record mentions, into `out` (duplicates kept): scalar
+// "job", list "jobs", priority's parallel "job" array, and match_round's
+// nested "nodes" member lists. The one definition of "this record is
+// about job N" behind every per-job query and DecisionLog's index.
+void mentioned_jobs(const JsonValue& rec, std::vector<std::int64_t>& out) {
+  out.clear();
+  const auto add_ids = [&out](const JsonValue& arr) {
+    if (!arr.is_array()) return;
+    for (const auto& e : arr.array) {
+      if (e.is_number()) out.push_back(static_cast<std::int64_t>(e.number));
+    }
+  };
   const JsonValue& scalar = rec.at("job");
-  if (scalar.is_number() &&
-      static_cast<std::int64_t>(scalar.number) == job) {
-    return true;
+  if (scalar.is_number()) {
+    out.push_back(static_cast<std::int64_t>(scalar.number));
   }
-  if (int_array_contains(scalar, job)) return true;
-  if (int_array_contains(rec.at("jobs"), job)) return true;
+  add_ids(scalar);
+  add_ids(rec.at("jobs"));
   const JsonValue& nodes = rec.at("nodes");
   if (nodes.is_array()) {
-    for (const auto& node : nodes.array) {
-      if (int_array_contains(node, job)) return true;
-    }
+    for (const auto& node : nodes.array) add_ids(node);
   }
-  return false;
 }
+
+bool mentions_job(const JsonValue& rec, std::int64_t job,
+                  std::vector<std::int64_t>& scratch) {
+  mentioned_jobs(rec, scratch);
+  return std::find(scratch.begin(), scratch.end(), job) != scratch.end();
+}
+
+// The explain_job_json document, fed one job's records in log order as
+// (round, raw line) pairs. The free function and DecisionLog's index
+// both render through it.
+class JobExplainJson {
+ public:
+  explicit JobExplainJson(std::int64_t job) : job_(job) {}
+
+  void add(std::int64_t round, std::string_view raw) {
+    if (round != last_round_) {
+      if (any_) body_ += "]},";
+      body_ += "{\"round\":" + std::to_string(round) + ",\"records\":[";
+      last_round_ = round;
+      any_ = true;
+    } else {
+      body_ += ',';
+    }
+    body_ += raw;
+  }
+
+  // "" when no record was added.
+  std::string finish() {
+    if (!any_) return "";
+    body_ += "]}";
+    return "{\"job\":" + std::to_string(job_) + ",\"rounds\":[" + body_ +
+           "]}\n";
+  }
+
+ private:
+  std::int64_t job_;
+  std::int64_t last_round_ = -1;
+  bool any_ = false;
+  std::string body_;
+};
 
 std::string fmt_num(double v) {
   std::string out;
@@ -682,8 +752,9 @@ std::string explain_job_text(const std::vector<DecisionRecord>& records,
                              std::int64_t job) {
   std::string out;
   std::int64_t last_round = -1;
+  std::vector<std::int64_t> ids;
   for (const auto& rec : records) {
-    if (!rec.value.is_object() || !mentions_job(rec.value, job)) continue;
+    if (!mentions_job(rec.value, job, ids)) continue;
     const std::int64_t round = round_of(rec.value);
     if (out.empty()) {
       out = "job " + std::to_string(job) + " decision history\n";
@@ -699,25 +770,58 @@ std::string explain_job_text(const std::vector<DecisionRecord>& records,
 
 std::string explain_job_json(const std::vector<DecisionRecord>& records,
                              std::int64_t job) {
-  std::string body;
-  std::int64_t last_round = -1;
-  bool any = false;
+  JobExplainJson out(job);
+  std::vector<std::int64_t> ids;
   for (const auto& rec : records) {
-    if (!rec.value.is_object() || !mentions_job(rec.value, job)) continue;
-    const std::int64_t round = round_of(rec.value);
-    if (round != last_round) {
-      if (any) body += "]},";
-      body += "{\"round\":" + std::to_string(round) + ",\"records\":[";
-      last_round = round;
-      any = true;
-    } else {
-      body += ',';
+    if (mentions_job(rec.value, job, ids)) {
+      out.add(round_of(rec.value), rec.raw);
     }
-    body += rec.raw;
   }
-  if (!any) return "";
-  body += "]}";
-  return "{\"job\":" + std::to_string(job) + ",\"rounds\":[" + body + "]}\n";
+  return out.finish();
+}
+
+std::string DecisionLog::explain_job_json(std::int64_t job) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  ExplainIndex& ix = *index_;
+  // Catch up from the last indexed line. A line holding '\n' splits into
+  // several records, as it does in jsonl().
+  for (; !ix.broken && ix.lines < lines_.size(); ++ix.lines) {
+    const std::string_view line = lines_[ix.lines];
+    std::size_t pos = 0;
+    while (pos < line.size()) {
+      const std::size_t begin = pos;
+      std::size_t eol = line.find('\n', pos);
+      if (eol == std::string_view::npos) eol = line.size();
+      pos = eol + 1;
+      if (eol == begin) continue;
+      const std::string_view piece = line.substr(begin, eol - begin);
+      if (!parse_json(piece, ix.value)) {
+        ix.broken = true;
+        break;
+      }
+      mentioned_jobs(ix.value, ix.ids);
+      if (ix.ids.empty()) continue;
+      const std::size_t at = ix.records.size();
+      ix.records.push_back(
+          {round_of(ix.value), ix.lines, begin, piece.size()});
+      for (const std::int64_t id : ix.ids) {
+        std::vector<std::size_t>& positions = ix.by_job[id];
+        if (positions.empty() || positions.back() != at) {
+          positions.push_back(at);
+        }
+      }
+    }
+  }
+  if (ix.broken) return "";
+  const auto it = ix.by_job.find(job);
+  if (it == ix.by_job.end()) return "";
+  JobExplainJson out(job);
+  for (const std::size_t at : it->second) {
+    const ExplainIndex::Record& r = ix.records[at];
+    out.add(r.round,
+            std::string_view(lines_[r.line]).substr(r.begin, r.size));
+  }
+  return out.finish();
 }
 
 std::string explain_round_text(const std::vector<DecisionRecord>& records,

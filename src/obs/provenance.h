@@ -74,6 +74,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -128,7 +129,8 @@ class DecisionLog {
     virtual void on_record(std::string_view line) = 0;
   };
 
-  DecisionLog() = default;
+  DecisionLog();
+  ~DecisionLog();
 
   DecisionLog(const DecisionLog&) = delete;
   DecisionLog& operator=(const DecisionLog&) = delete;
@@ -169,8 +171,19 @@ class DecisionLog {
   // Writes jsonl() to `path`; false on I/O failure.
   bool write_jsonl(const std::string& path) const;
 
-  // Drops all records and resets the round counter. The sink, if any,
-  // stays attached (it is transport, not content).
+  // explain_job_json(records, job) below over parse_decision_log(jsonl()),
+  // byte for byte, without copying or re-parsing the whole log: a per-job
+  // index of record positions answers it in O(records of that job). The
+  // index is caught up on each call, so every record is parsed at most
+  // once in the log's life, and only once someone asks for an explain;
+  // append() never parses. Returns "" when no record mentions the job, and
+  // from the first line that fails to parse on (as parse_decision_log
+  // failing would) until clear().
+  std::string explain_job_json(std::int64_t job) const;
+
+  // Drops all records and the explain index, and resets the round
+  // counter. The sink, if any, stays attached (it is transport, not
+  // content).
   void clear();
 
   // Attaches (or, with null, detaches) the durable tap. The sink must
@@ -181,10 +194,14 @@ class DecisionLog {
   friend class Entry;
   void append(std::string line);
 
+  struct ExplainIndex;
+
   std::atomic<std::int64_t> round_{0};
   mutable std::mutex mu_;
   std::vector<std::string> lines_;
   Sink* sink_ = nullptr;
+  // Built lazily by explain_job_json() under mu_.
+  std::unique_ptr<ExplainIndex> index_;
 };
 
 // One parsed JSONL record: the JSON value plus the original line bytes
@@ -229,7 +246,9 @@ bool validate_decision_log(std::string_view jsonl,
 std::string explain_job_text(const std::vector<DecisionRecord>& records,
                              std::int64_t job);
 // JSON form: {"job":N,"rounds":[{"round":R,"records":[...]}]} with the
-// records embedded verbatim.
+// records embedded verbatim. A live DecisionLog answers the same query
+// from its own index: DecisionLog::explain_job_json(job) returns exactly
+// this over parse_decision_log(log.jsonl()).
 std::string explain_job_json(const std::vector<DecisionRecord>& records,
                              std::int64_t job);
 

@@ -262,7 +262,6 @@ bool recover_wal(WalImage image, RecoverResult& out, std::string* error,
     ++record_frames;
     const bool fold = static_cast<std::ptrdiff_t>(i) > last_snapshot;
     if (!fold && !visit) continue;
-    rec = obs::JsonValue{};
     if (!parse_record(image.payload(frames[i]), rec, error) ||
         (visit && !visit(rec, error)) ||
         (fold && !apply_record(engine.mutable_state(), rec, error))) {

@@ -252,7 +252,6 @@ bool parse_record(std::string_view line, JsonValue& out, std::string* error) {
   if (!obs::parse_json_shallow(line, out, error)) return false;
   const JsonValue& type = out.at("type");
   if (type.is_string() && type.string == "placement") {
-    out = JsonValue{};
     return obs::parse_json(line, out, error);
   }
   return true;

@@ -1,5 +1,6 @@
 #include "service/daemon.h"
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -19,9 +20,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+void append_json_escaped(std::string& out, const std::string& s) {
   for (char c : s) {
     switch (c) {
       case '"':
@@ -49,7 +48,18 @@ std::string json_escape(const std::string& s) {
         }
     }
   }
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  append_json_escaped(out, s);
   return out;
+}
+
+void append_int(std::string& out, long long v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 // Uniform error body for every job-API failure path: {"error": ..,
@@ -77,25 +87,40 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name) {
   return nullptr;
 }
 
-std::string job_status_json(const JobStatus& st) {
-  std::string out = "{\"job\":" + std::to_string(st.id);
+// Appends one job's status object to `out`, building no temporaries, so
+// /jobs renders the whole table into one buffer.
+void append_job_status_json(std::string& out, const JobStatus& st) {
+  out += "{\"job\":";
+  append_int(out, st.id);
   out += ",\"state\":\"";
   out += to_string(st.phase);
   out += "\",\"model\":\"";
   out += muri::to_string(st.model);
-  out += "\"";
-  if (!st.name.empty()) out += ",\"name\":\"" + json_escape(st.name) + "\"";
-  out += ",\"gpus\":" + std::to_string(st.num_gpus);
-  out += ",\"iterations\":" + std::to_string(st.iterations);
-  out += ",\"done\":" + obs::g17(st.done_iterations);
-  out += ",\"submit_t\":" + obs::g17(st.submit_time);
-  if (st.first_scheduled >= 0) {
-    out += ",\"first_scheduled_t\":" + obs::g17(st.first_scheduled);
+  out += '"';
+  if (!st.name.empty()) {
+    out += ",\"name\":\"";
+    append_json_escaped(out, st.name);
+    out += '"';
   }
-  if (st.end_time >= 0) out += ",\"end_t\":" + obs::g17(st.end_time);
-  out += ",\"preemptions\":" + std::to_string(st.preemptions);
-  out += "}";
-  return out;
+  out += ",\"gpus\":";
+  append_int(out, st.num_gpus);
+  out += ",\"iterations\":";
+  append_int(out, st.iterations);
+  out += ",\"done\":";
+  obs::append_g17(out, st.done_iterations);
+  out += ",\"submit_t\":";
+  obs::append_g17(out, st.submit_time);
+  if (st.first_scheduled >= 0) {
+    out += ",\"first_scheduled_t\":";
+    obs::append_g17(out, st.first_scheduled);
+  }
+  if (st.end_time >= 0) {
+    out += ",\"end_t\":";
+    obs::append_g17(out, st.end_time);
+  }
+  out += ",\"preemptions\":";
+  append_int(out, st.preemptions);
+  out += '}';
 }
 
 obs::Summary& round_phase_summary(obs::MetricsRegistry& registry,
@@ -106,19 +131,25 @@ obs::Summary& round_phase_summary(obs::MetricsRegistry& registry,
                           {{"phase", phase}});
 }
 
-std::string admitted_json(const QueuedSubmission& s) {
-  std::string out = "{\"job\":" + std::to_string(s.id);
+// The status object of a job still in the admission queue.
+void append_admitted_json(std::string& out, const QueuedSubmission& s) {
+  out += "{\"job\":";
+  append_int(out, s.id);
   out += ",\"state\":\"admitted\",\"model\":\"";
   out += muri::to_string(s.spec.model);
-  out += "\"";
+  out += '"';
   if (!s.spec.name.empty()) {
-    out += ",\"name\":\"" + json_escape(s.spec.name) + "\"";
+    out += ",\"name\":\"";
+    append_json_escaped(out, s.spec.name);
+    out += '"';
   }
-  out += ",\"gpus\":" + std::to_string(s.spec.num_gpus);
-  out += ",\"iterations\":" + std::to_string(s.spec.iterations);
-  out += ",\"submit_t\":" + obs::g17(s.submit_time);
-  out += "}";
-  return out;
+  out += ",\"gpus\":";
+  append_int(out, s.spec.num_gpus);
+  out += ",\"iterations\":";
+  append_int(out, s.spec.iterations);
+  out += ",\"submit_t\":";
+  obs::append_g17(out, s.submit_time);
+  out += '}';
 }
 
 }  // namespace
@@ -958,19 +989,25 @@ void MuriDaemon::handle_submit(const obs::HttpRequest& req,
 
 void MuriDaemon::handle_list(obs::HttpResponse& resp) {
   std::lock_guard<std::mutex> lock(engine_mu_);
-  std::string out = "{\"jobs\":[";
+  const std::vector<QueuedSubmission> queued = queue_->snapshot();
+  // A job object is ~160 bytes; reserve so the one pass never regrows.
+  std::string out;
+  out.reserve(64 + 192 * (queued.size() + engine_->job_slots()));
+  out += "{\"jobs\":[";
   bool first = true;
-  for (const QueuedSubmission& s : queue_->snapshot()) {
-    if (!first) out += ",";
+  for (const QueuedSubmission& s : queued) {
+    if (!first) out += ',';
     first = false;
-    out += admitted_json(s);
+    append_admitted_json(out, s);
   }
-  for (const JobStatus& st : engine_->list_jobs()) {
-    if (!first) out += ",";
+  engine_->for_each_job([&](const JobStatus& st) {
+    if (!first) out += ',';
     first = false;
-    out += job_status_json(st);
-  }
-  out += "],\"sim_t\":" + obs::g17(sim_now()) + "}\n";
+    append_job_status_json(out, st);
+  });
+  out += "],\"sim_t\":";
+  obs::append_g17(out, sim_now());
+  out += "}\n";
   resp.content_type = "application/json";
   resp.body = std::move(out);
 }
@@ -978,15 +1015,15 @@ void MuriDaemon::handle_list(obs::HttpResponse& resp) {
 void MuriDaemon::handle_job_get(JobId id, bool explain,
                                 obs::HttpResponse& resp) {
   std::lock_guard<std::mutex> lock(engine_mu_);
-  std::string status_json;
+  std::string out = explain ? "{\"status\":" : "";
   JobStatus st;
   if (engine_->job_status(id, st)) {
-    status_json = job_status_json(st);
+    append_job_status_json(out, st);
   } else {
     bool queued = false;
     for (const QueuedSubmission& s : queue_->snapshot()) {
       if (s.id == id) {
-        status_json = admitted_json(s);
+        append_admitted_json(out, s);
         queued = true;
         break;
       }
@@ -996,19 +1033,17 @@ void MuriDaemon::handle_job_get(JobId id, bool explain,
       return;
     }
   }
+  if (explain) {
+    // The log's per-job index: O(records of this job), not a re-parse of
+    // the whole history. "" (no record, or an unparseable log) is null.
+    const std::string why = log_.explain_job_json(id);
+    out += ",\"explain\":";
+    out += why.empty() ? "null" : why;
+    out += '}';
+  }
+  out += '\n';
   resp.content_type = "application/json";
-  if (!explain) {
-    resp.body = status_json + "\n";
-    return;
-  }
-  std::vector<obs::DecisionRecord> records;
-  std::string why = "null";
-  if (obs::parse_decision_log(log_.jsonl(), records)) {
-    const std::string explained = obs::explain_job_json(records, id);
-    if (!explained.empty()) why = explained;
-  }
-  resp.body =
-      "{\"status\":" + status_json + ",\"explain\":" + why + "}\n";
+  resp.body = std::move(out);
 }
 
 void MuriDaemon::handle_timeline(JobId id, obs::HttpResponse& resp) {

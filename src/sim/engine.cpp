@@ -1278,30 +1278,24 @@ GammaAudit Engine::audit_group_gamma() {
   return out;
 }
 
-std::vector<JobStatus> Engine::list_jobs() const {
-  std::vector<JobStatus> out;
-  for (const JobRecord& rec : jobs_) {
-    if (rec.job.id == kInvalidJob) continue;
-    out.emplace_back();
-    (void)job_status(rec.job.id, out.back());
-  }
-  return out;
+void Engine::fill_status(const JobRecord& rec, JobStatus& out) {
+  out.id = rec.job.id;
+  out.phase = rec.phase;
+  out.model = rec.job.model;
+  out.name = rec.name;
+  out.num_gpus = rec.job.num_gpus;
+  out.iterations = rec.job.iterations;
+  out.done_iterations = rec.done_iterations;
+  out.submit_time = rec.job.submit_time;
+  out.first_scheduled = rec.first_scheduled;
+  out.end_time = rec.end_time;
+  out.preemptions = rec.preemptions;
 }
 
 bool Engine::job_status(JobId id, JobStatus& out) const {
   const JobRecord* rec = find(id);
   if (rec == nullptr) return false;
-  out.id = rec->job.id;
-  out.phase = rec->phase;
-  out.model = rec->job.model;
-  out.name = rec->name;
-  out.num_gpus = rec->job.num_gpus;
-  out.iterations = rec->job.iterations;
-  out.done_iterations = rec->done_iterations;
-  out.submit_time = rec->job.submit_time;
-  out.first_scheduled = rec->first_scheduled;
-  out.end_time = rec->end_time;
-  out.preemptions = rec->preemptions;
+  fill_status(*rec, out);
   return true;
 }
 

@@ -311,8 +311,19 @@ class Engine {
     return busy_total_;
   }
 
-  // API snapshots.
-  std::vector<JobStatus> list_jobs() const;
+  // API snapshots. for_each_job calls fn(const JobStatus&) for every job
+  // in the table, in id order: one pass, and no copy of the table.
+  template <typename Fn>
+  void for_each_job(Fn&& fn) const {
+    JobStatus st;
+    for (const JobRecord& rec : jobs_) {
+      if (rec.job.id == kInvalidJob) continue;
+      fill_status(rec, st);
+      fn(static_cast<const JobStatus&>(st));
+    }
+  }
+  // Slots in the job table: a bound on for_each_job's calls.
+  std::size_t job_slots() const noexcept { return jobs_.size(); }
   bool job_status(JobId id, JobStatus& out) const;
   // Graceful-shutdown checkpoint: one job_progress record per unfinished
   // job with progress, so a restart resumes iterations instead of
@@ -410,6 +421,7 @@ class Engine {
   void admit(JobRecord rec, Time now, bool restored);
   JobRecord* find(JobId id);
   const JobRecord* find(JobId id) const;
+  static void fill_status(const JobRecord& rec, JobStatus& out);
   void mark_dirty(JobId id);
   // Takes a running job off its placement (back to kQueued).
   void stop_running(JobRecord& s);

@@ -6,6 +6,7 @@
 // exactly.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -19,6 +20,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/threadpool.h"
 #include "job/model.h"
 #include "obs/json.h"
@@ -206,6 +208,94 @@ TEST(Metrics, SummaryTracksExactQuantiles) {
             (std::vector<double>{r.percentile(0), r.percentile(50),
                                  r.percentile(90), r.percentile(99),
                                  r.percentile(100)}));
+}
+
+// The samples a Summary keeps, by the same decimation rule: every
+// stride-th observation, and at capacity drop every other kept sample and
+// double the stride.
+struct KeptSamples {
+  explicit KeptSamples(std::size_t cap) : capacity(cap) {}
+
+  std::size_t capacity;
+  std::size_t stride = 1;
+  std::int64_t seen = 0;
+  std::vector<double> kept;
+
+  void observe(double v) {
+    if (seen % static_cast<std::int64_t>(stride) == 0) {
+      if (kept.size() >= capacity) {
+        std::vector<double> half;
+        for (std::size_t i = 0; i < kept.size(); i += 2) {
+          half.push_back(kept[i]);
+        }
+        kept = std::move(half);
+        stride *= 2;
+      }
+      if (seen % static_cast<std::int64_t>(stride) == 0) kept.push_back(v);
+    }
+    ++seen;
+  }
+};
+
+TEST(Metrics, SummaryQuantilesStayExactAcrossReadsAndDecimations) {
+  // Reads between observes leave a sorted prefix that later samples merge
+  // into; decimation must throw it away. Every read must still equal
+  // sorting a fresh copy of the kept samples, bit for bit.
+  obs::Summary s(16);
+  KeptSamples ref{16};
+  Rng rng(11);
+  int decimations = 0;
+  for (int i = 0; i < 600; ++i) {
+    // Few distinct values, so ties straddle the merge boundary.
+    const double v = static_cast<double>(rng.uniform_int(0, 40)) * 0.25;
+    const std::size_t stride = ref.stride;
+    s.observe(v);
+    ref.observe(v);
+    if (ref.stride != stride) ++decimations;
+    if (i % 3 != 0) continue;
+    const std::vector<double> got = s.percentiles({0, 25, 50, 90, 99, 100});
+    const double ps[] = {0, 25, 50, 90, 99, 100};
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k], muri::percentile(ref.kept, ps[k]))
+          << "observation " << i << ", p" << ps[k];
+    }
+    EXPECT_EQ(s.percentile(75), muri::percentile(ref.kept, 75));
+  }
+  EXPECT_GE(decimations, 4);
+  EXPECT_EQ(s.count(), 600);
+}
+
+TEST(Metrics, SummaryReadsRaceObservesSafely) {
+  // Quantile reads now write the summary's sorted cache; run them against
+  // a concurrent writer (the TSan tier runs this binary).
+  obs::Summary s(64);
+  constexpr int kObservations = 20000;
+  std::atomic<bool> done{false};
+  std::thread writer([&s, &done] {
+    for (int i = 0; i < kObservations; ++i) {
+      s.observe(static_cast<double>((i * 7919) % 1000));
+    }
+    done.store(true);
+  });
+  int reads = 0;
+  while (!done.load() || reads < 100) {
+    const std::vector<double> q = s.percentiles({0, 50, 100});
+    EXPECT_LE(q[0], q[1]);
+    EXPECT_LE(q[1], q[2]);
+    EXPECT_LE(q[2], 999.0);
+    ++reads;
+  }
+  writer.join();
+  KeptSamples ref{64};
+  for (int i = 0; i < kObservations; ++i) {
+    ref.observe(static_cast<double>((i * 7919) % 1000));
+  }
+  EXPECT_EQ(s.count(), kObservations);
+  EXPECT_EQ(s.percentiles({0, 50, 99, 100}),
+            (std::vector<double>{muri::percentile(ref.kept, 0),
+                                 muri::percentile(ref.kept, 50),
+                                 muri::percentile(ref.kept, 99),
+                                 muri::percentile(ref.kept, 100)}));
 }
 
 TEST(Metrics, ConcurrentIncrementsFromThreadPool) {
@@ -581,6 +671,26 @@ TEST(Json, DeepNestingFailsGracefully) {
   for (int i = 0; i < 64; ++i) ok += '[';
   for (int i = 0; i < 64; ++i) ok += ']';
   EXPECT_TRUE(obs::parse_json(ok, v));
+}
+
+TEST(Json, AReusedValueHoldsOnlyTheLatestDocument) {
+  // Both modes replace the target: no member of the previous document may
+  // survive, whether its key recurs with a new value or not at all.
+  for (const bool shallow : {false, true}) {
+    const auto parse = shallow ? obs::parse_json_shallow : obs::parse_json;
+    JsonValue v;
+    ASSERT_TRUE(parse("{\"job\":1,\"old\":\"x\",\"list\":[1]}", v, nullptr));
+    ASSERT_TRUE(parse("{\"job\":2,\"t\":3.5}", v, nullptr));
+    EXPECT_EQ(v.at("job").number, 2) << "shallow=" << shallow;
+    EXPECT_EQ(v.at("t").number, 3.5);
+    EXPECT_FALSE(v.at("old").is_string()) << "shallow=" << shallow;
+    EXPECT_FALSE(v.at("list").is_array());
+    EXPECT_EQ(v.object.size(), 2u);
+    // A scalar document over an object leaves no members behind either.
+    ASSERT_TRUE(parse("7", v, nullptr));
+    EXPECT_TRUE(v.is_number());
+    EXPECT_TRUE(v.object.empty());
+  }
 }
 
 // ---------------------------------------------------------------------------

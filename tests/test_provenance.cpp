@@ -516,6 +516,174 @@ TEST(Provenance, ExplainRoundRendersEveryRecordOfTheRound) {
 }
 
 // ---------------------------------------------------------------------------
+// DecisionLog's indexed explain against the free function.
+
+// What DecisionLog::explain_job_json(job) must return for each of `jobs`:
+// the free function over a fresh parse of the whole dump, or "" when the
+// dump does not parse.
+std::vector<std::string> reference_explains(
+    const DecisionLog& log, const std::vector<std::int64_t>& jobs) {
+  std::vector<DecisionRecord> records;
+  const bool parsed = obs::parse_decision_log(log.jsonl(), records);
+  std::vector<std::string> out;
+  for (const std::int64_t job : jobs) {
+    out.push_back(parsed ? obs::explain_job_json(records, job) : "");
+  }
+  return out;
+}
+
+void expect_index_matches(const DecisionLog& log,
+                          const std::vector<std::int64_t>& jobs) {
+  const std::vector<std::string> want = reference_explains(log, jobs);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(log.explain_job_json(jobs[i]), want[i]) << "job " << jobs[i];
+  }
+}
+
+TEST(DecisionLogExplain, IndexMatchesTheFreeFunctionOnAFaultedRun) {
+  const Trace t = contended_trace();
+  DecisionLog log;
+  SimOptions opt = tiny_cluster();
+  opt.cluster.num_machines = 2;
+  opt.mtbf_hours = 0.1;
+  opt.machine_faults.machine_mtbf_hours = 0.2;
+  opt.machine_faults.machine_mttr_hours = 0.05;
+  opt.machine_faults.straggler_rate_per_hour = 10;
+  opt.machine_faults.straggler_duration_s = 300;
+  opt.machine_faults.straggler_severity = 2;
+  opt.decisions = &log;
+  MuriScheduler s{MuriOptions{}};
+  const SimResult r = run_simulation(t, s, opt);
+  ASSERT_GT(r.faults, 0);
+  ASSERT_GT(r.machine_failures, 0);
+
+  // Every job of the trace, plus ids the log never mentions.
+  std::vector<std::int64_t> jobs = {-1, 8, 9, 424242};
+  for (const Job& j : t.jobs) jobs.push_back(j.id);
+  expect_index_matches(log, jobs);
+  // The first call built the index; the second answers from it.
+  expect_index_matches(log, jobs);
+  std::size_t explained = 0;
+  for (const Job& j : t.jobs) {
+    if (!log.explain_job_json(j.id).empty()) ++explained;
+  }
+  EXPECT_EQ(explained, t.jobs.size());
+}
+
+// Appends one record that names jobs in [0, 12) through one of the fields
+// that carry job ids: scalar "job", list "jobs", priority's and wait's
+// parallel "job" arrays, and match_round's nested "nodes".
+void append_random_record(DecisionLog& log, Rng& rng) {
+  const auto id = [&rng] { return rng.uniform_int(0, 11); };
+  const double t = rng.uniform(0, 1000);
+  switch (rng.uniform_int(0, 6)) {
+    case 0:
+      log.begin_round();
+      log.entry("round_start")
+          .str("scheduler", "Muri-L")
+          .str("policy", "srsf")
+          .integer("queue", 3)
+          .integer("capacity", 8);
+      break;
+    case 1:
+      log.entry("placement")
+          .num("t", t)
+          .ids("jobs", {id(), id()})
+          .integer("gpus", 2)
+          .ints("machines", {0, 1});
+      break;
+    case 2:
+      log.entry("preempt").num("t", t).integer("job", id()).str("reason",
+                                                                 "priority");
+      break;
+    case 3:
+      log.entry("priority")
+          .str("policy", "srsf")
+          .ids("job", {id(), id(), id()})
+          .nums("score", {1.5, 2, 3});
+      break;
+    case 4:
+      log.entry("match_round")
+          .integer("gpus", 1)
+          .integer("stage", 0)
+          .raw("nodes", "[[" + std::to_string(id()) + "," +
+                            std::to_string(id()) + "],[" +
+                            std::to_string(id()) + "]]")
+          .raw("edges", "[[0,1,0.75]]")
+          .raw("matched", "[[0,1]]")
+          .raw("unmatched", "[]");
+      break;
+    case 5:
+      log.entry("wait")
+          .num("t", t)
+          .ids("job", {id(), id()})
+          .strs("bucket", {"capacity", "priority"});
+      break;
+    default:
+      log.entry("arrival").num("t", t).integer("job", id()).integer("gpus",
+                                                                    1);
+  }
+}
+
+TEST(DecisionLogExplain, IndexFollowsAppendsBetweenCallsAndClear) {
+  DecisionLog log;
+  Rng rng(5);
+  std::vector<std::int64_t> jobs;
+  for (std::int64_t j = -1; j <= 12; ++j) jobs.push_back(j);
+  for (int step = 0; step < 300; ++step) {
+    append_random_record(log, rng);
+    if (step % 7 == 0) expect_index_matches(log, jobs);
+  }
+  expect_index_matches(log, jobs);
+
+  // clear() drops the index with the records: nothing is explained until
+  // new records arrive, and those are indexed from scratch.
+  log.clear();
+  for (const std::int64_t j : jobs) {
+    EXPECT_TRUE(log.explain_job_json(j).empty()) << "job " << j;
+  }
+  for (int step = 0; step < 60; ++step) {
+    append_random_record(log, rng);
+    if (step % 5 == 0) expect_index_matches(log, jobs);
+  }
+}
+
+TEST(DecisionLogExplain, AnUnparseableLineSilencesEveryExplainUntilClear) {
+  DecisionLog log;
+  log.entry("arrival").num("t", 0).integer("job", 1).integer("gpus", 1);
+  ASSERT_FALSE(log.explain_job_json(1).empty());
+  log.entry("bucket").integer("gpus", 1).raw("jobs", "[1,");
+  log.entry("arrival").num("t", 1).integer("job", 2).integer("gpus", 1);
+
+  std::vector<DecisionRecord> records;
+  EXPECT_FALSE(obs::parse_decision_log(log.jsonl(), records));
+  for (const std::int64_t j : {1, 2, 3}) {
+    EXPECT_EQ(log.explain_job_json(j), "") << "job " << j;
+    EXPECT_EQ(reference_explains(log, {j})[0], "") << "job " << j;
+  }
+  log.entry("preempt").num("t", 2).integer("job", 1).str("reason", "x");
+  EXPECT_EQ(log.explain_job_json(1), "");
+
+  log.clear();
+  log.entry("arrival").num("t", 3).integer("job", 2).integer("gpus", 1);
+  EXPECT_FALSE(log.explain_job_json(2).empty());
+  expect_index_matches(log, {1, 2});
+}
+
+TEST(DecisionLogExplain, ALineHoldingNewlinesSplitsAsTheDumpDoes) {
+  // raw() is verbatim, so one committed line can read as two records in
+  // jsonl(); the index must see the same two.
+  DecisionLog log;
+  log.entry("arrival").num("t", 0).integer("job", 1).raw(
+      "gpus", "1}\n{\"type\":\"arrival\",\"round\":0,\"t\":1,\"job\":2,"
+              "\"gpus\":1");
+  log.entry("preempt").num("t", 2).integer("job", 2).str("reason", "x");
+  expect_index_matches(log, {1, 2, 3});
+  EXPECT_FALSE(log.explain_job_json(1).empty());
+  EXPECT_NE(log.explain_job_json(2).find("preempt"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
 // Executor instrumentation.
 
 TEST(Provenance, ExecutorRecordsGroupWindows) {

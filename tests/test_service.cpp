@@ -160,6 +160,55 @@ TEST(ServiceDaemon, StatusExplainEmbedsDecisionHistory) {
   daemon.stop();
 }
 
+TEST(ServiceDaemon, ExplainBodyEqualsTheFreeFunctionAsHistoryGrows) {
+  // The daemon answers ?explain=1 from its log's per-job index; the body
+  // must stay byte-identical to re-parsing the whole /decisions dump, at
+  // every point of a history that grows between reads.
+  MuriDaemon daemon(manual_options());
+  std::string error;
+  ASSERT_TRUE(daemon.start(&error)) << error;
+
+  std::vector<JobId> ids;
+  const auto check_all = [&](const char* when) {
+    std::vector<obs::DecisionRecord> records;
+    ASSERT_TRUE(
+        obs::parse_decision_log(get(daemon, "/decisions").body, records))
+        << when;
+    for (const JobId id : ids) {
+      const std::string path = "/jobs/" + std::to_string(id);
+      std::string status = get(daemon, path).body;
+      ASSERT_FALSE(status.empty()) << when;
+      status.pop_back();  // the body's trailing newline
+      const std::string why = obs::explain_job_json(records, id);
+      const std::string want = "{\"status\":" + status + ",\"explain\":" +
+                               (why.empty() ? "null" : why) + "}\n";
+      const auto resp = get(daemon, path + "?explain=1");
+      ASSERT_EQ(resp.status, 200) << when;
+      EXPECT_EQ(resp.body, want) << when << ", job " << id;
+    }
+  };
+
+  const char* models[] = {"resnet18", "vgg16", "bert", "gpt2"};
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(submit(daemon, models[i % 4], 1 + i % 3, 300 + 100 * i));
+  }
+  check_all("queued");  // admitted, not yet in the log: explain is null
+  daemon.step(0);
+  check_all("first round");
+  for (int i = 0; i < 3; ++i) {
+    // ids[7] runs long enough to still be running when cancelled.
+    ids.push_back(submit(daemon, models[i], 2, i == 1 ? 1000000 : 2000));
+    daemon.step(120);
+    check_all("mid-run");
+  }
+  ASSERT_EQ(del(daemon, "/jobs/" + std::to_string(ids[7])).status, 200);
+  daemon.step(60);
+  check_all("after a cancel");
+  EXPECT_EQ(run_to_completion(daemon, ids[8]), "finished");
+  check_all("finished");
+  daemon.stop();
+}
+
 TEST(ServiceDaemon, DuplicateNameReturnsOriginalJob) {
   MuriDaemon daemon(manual_options());
   std::string error;
